@@ -46,10 +46,7 @@ fn bench_serve(c: &mut Criterion) {
 
     g.bench_function("cold_per_request", |b| {
         b.iter(|| {
-            let mut sched = Scheduler::new(SchedulerOptions {
-                cache_enabled: false,
-                ..SchedulerOptions::default()
-            });
+            let mut sched = Scheduler::new(SchedulerOptions { cache_enabled: false });
             let out = sched.run_batch(&requests).expect("batch");
             assert_eq!(out.report.errors, 0);
             out.report.engine_evals
@@ -69,7 +66,7 @@ fn bench_serve(c: &mut Criterion) {
 
     // Print the amortization evidence alongside the timings (E13): prep
     // reuse and memo hits visible in the batch report.
-    let mut cold = Scheduler::new(SchedulerOptions { cache_enabled: false, ..Default::default() });
+    let mut cold = Scheduler::new(SchedulerOptions { cache_enabled: false });
     let cold_out = cold.run_batch(&requests).expect("batch");
     let mut warm = Scheduler::new(SchedulerOptions::default());
     let first = warm.run_batch(&requests).expect("batch");

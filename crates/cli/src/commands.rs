@@ -31,7 +31,7 @@ USAGE:
   psdp solve FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--mode practical|strict] [--seed S] [--format auto|text|bin] [--json]
   psdp optimize FILE [--eps E] [--warm on|off] [--json]
   psdp mixed FILE [--eps E] [--engine auto|exact|taylor|jl|expv] [--seed S] [--warm on|off] [--json]
-  psdp serve [--max-in-flight N] [--cache on|off] [--max-line-bytes N] [--format auto|text|bin]   (JSONL requests on stdin)
+  psdp serve [--cache on|off] [--max-line-bytes N] [--format auto|text|bin]   (JSONL requests or binary frames on stdin)
   psdp serve --listen [--shards N] [--queue-cap N] [--snapshot FILE] [--snapshot-keep N] [--cache on|off] [--max-line-bytes N] [--format auto|text|bin] [--shed-target-p99-ms MS]
   psdp serve --listen --bind tcp:ADDR:PORT|unix:PATH [--max-clients N] [--client-inflight N] [...same flags as --listen]
   psdp audit [--root PATH] [--config FILE] [--json] [--deny-warnings]
@@ -58,15 +58,17 @@ header, which `serve` uses directly as its cache fingerprint.
 `serve` reads one JSON request per stdin line —
   {\"id\":\"r1\",\"command\":\"solve\",\"file\":\"inst.psdp\",\"threshold\":1.0,\"eps\":0.2}
   {\"id\":\"r2\",\"command\":\"optimize\",\"instance\":\"psdp 1\\n…\",\"eps\":0.1}
-— batches them through the fingerprint-cached scheduler (repeat instances
+or a `0x00`-marked binary frame (JSON header plus `psdp-bin-1` instance
+bytes; every serve mode reads both) — batches them through the fingerprint-cached scheduler (repeat instances
 share prepared solvers, identical requests are memoized), and emits one
 JSON response per request on stdout (submission order, same schemas as
 `--json` plus `id` and a `serve` reuse-telemetry object; `wall_ms` is null
 so response bytes are deterministic). The batch report goes to stderr.
 With `--listen` the same protocol runs through the persistent streaming
 service (DESIGN.md §13): requests are admitted as they arrive into
-bounded per-shard queues (a full queue answers a typed `overloaded` line
-instead of buffering without bound), the fingerprint-sharded cache
+bounded per-shard queues (piped stdin blocks at admission; socket
+clients over a full queue get a typed `overloaded` line instead of
+buffering without bound), the fingerprint-sharded cache
 carries reuse across the whole session, and `--snapshot FILE` persists
 the prepared-solver cache across restarts (saved atomically via tmp +
 rename; `--snapshot-keep N` rotates N generations so a torn live file

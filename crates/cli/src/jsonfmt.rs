@@ -31,6 +31,16 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// The in-place error line `psdp serve` answers a failed request with:
+/// `{"id":…,"error":…}`, with `"id":null` when the request was too broken
+/// to name itself. Every serve error path renders through here, so the
+/// schema cannot drift from the golden under
+/// `tests/fixtures/schema/serve_error.json`.
+pub fn error_line(id: Option<&str>, msg: &str) -> String {
+    let id_json = id.map_or_else(|| "null".to_string(), json_str);
+    format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg))
+}
+
 /// The typed `overloaded` response line `psdp serve` emits when a request
 /// is shed by backpressure — a full shard queue, the adaptive p99 shed
 /// policy, or a per-client in-flight cap at the socket front end

@@ -1,5 +1,5 @@
 //! The `psdp serve` subcommand: a JSONL front door over the
-//! `psdp-serve` scheduler.
+//! `psdp-serve` orchestrators.
 //!
 //! One JSON request per stdin line; one JSON response per stdout line, in
 //! submission order, reusing the `--json` schemas of `solve` / `optimize`
@@ -17,29 +17,29 @@
 //! unbounded `String` growth.
 //!
 //! Instances arrive as canonical text or as `psdp-bin-1` binary
-//! (`file` paths are sniffed by magic). Under `--listen` a request may
-//! also be a **binary frame**: a `0x00` marker byte (JSON never starts
-//! with NUL), a `u32` LE payload length, then the payload — itself a
-//! `u32` LE JSON-header length, the JSON header (same schema as a text
-//! request, minus `file`/`instance`), and the instance as `psdp-bin-1`
-//! bytes. Frames over `--max-line-bytes` are consumed to their declared
-//! length and dropped (typed in-place error, stream resyncs at the next
-//! request); a repeated frame body skips decoding entirely via a raw-byte
-//! fingerprint cache, and the serve-cache fingerprint comes from the
-//! binary header's content hash — byte-identical responses to the
-//! equivalent text submission.
+//! (`file` paths are sniffed by magic). A request may also be a **binary
+//! frame**: a `0x00` marker byte (JSON never starts with NUL), a `u32` LE
+//! payload length, then the payload — itself a `u32` LE JSON-header
+//! length, the JSON header (same schema as a text request, minus
+//! `file`/`instance`), and the instance as `psdp-bin-1` bytes. Frames
+//! over `--max-line-bytes` are consumed to their declared length and
+//! dropped (typed in-place error, stream resyncs at the next request); a
+//! repeated frame body skips decoding entirely via a raw-byte fingerprint
+//! cache, and the serve-cache fingerprint comes from the binary header's
+//! content hash — byte-identical responses to the equivalent text
+//! submission.
 //!
-//! `--listen` switches from the one-shot batch scheduler to the
-//! persistent streaming service ([`psdp_serve::service`]): requests are
-//! dispatched to shard workers as lines arrive and responses stream out
-//! in submission order; a full shard queue answers with a typed
-//! `overloaded` error line. `--snapshot <path>` warm-loads the prepared
-//! cache at startup (corrupted snapshot → clean cold start) and saves it
-//! back on shutdown.
+//! Every front end reads its stream through one reader (`next_item`):
+//! plain `serve` collects the whole stream and runs it as one batch on the
+//! [`Scheduler`]; `--listen` feeds the persistent streaming service
+//! ([`psdp_serve::service`]) as requests arrive, and responses stream out
+//! in submission order. `--snapshot <path>` warm-loads the prepared cache
+//! at startup (corrupted snapshot → clean cold start) and saves it back on
+//! shutdown.
 
 use crate::args::Args;
 use crate::commands::{format_of, Format};
-use crate::jsonfmt::{json_str, mixed_payload, optimize_payload, solve_payload};
+use crate::jsonfmt::{error_line, json_str, mixed_payload, optimize_payload, solve_payload};
 use psdp_core::{
     fnv1a, is_binary_instance, mixed_content_hash, packing_content_hash, read_instance,
     read_instance_bin, read_mixed_instance, read_mixed_instance_bin, ApproxOptions, ConstantsMode,
@@ -61,12 +61,14 @@ const DEFAULT_MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 /// peeked byte disambiguates frames from JSONL lines.
 const FRAME_MARKER: u8 = 0x00;
 
-/// Parsed-instance cache: source key → (instance, parse-once content
+/// Parsed-instance caches, source key → (instance, parse-once content
 /// hash). Carrying the hash means repeat sources never re-read, re-parse,
 /// or re-hash, and requests are built with their fingerprint attached.
-type PackSources = BTreeMap<String, (Arc<PackingInstance>, u64)>;
-/// Mixed-family counterpart of [`PackSources`].
-type MixedSources = BTreeMap<String, (Arc<MixedInstance>, u64)>;
+#[derive(Default)]
+struct Sources {
+    pack: BTreeMap<String, (Arc<PackingInstance>, u64)>,
+    mixed: BTreeMap<String, (Arc<MixedInstance>, u64)>,
+}
 
 /// Outcome of one `psdp serve` run: the stdout JSONL stream and the human
 /// batch report for stderr.
@@ -83,13 +85,6 @@ struct ParsedLine {
     request: ServeRequest,
     /// `"path"` (JSON-escaped) or `null` for inline instances.
     file_json: String,
-}
-
-/// Per-line parse state: a scheduled request (by index into the batch) or
-/// an immediate error line.
-enum Line {
-    Request(usize),
-    Error { id: Option<String>, msg: String },
 }
 
 /// `psdp serve` — read JSONL requests from stdin, print the batch report
@@ -118,106 +113,152 @@ pub fn serve(args: &Args) -> Result<String, String> {
         // nothing is left to print at exit.
         return Ok(String::new());
     }
-    let mut input = String::new();
-    std::io::Read::read_to_string(&mut std::io::stdin(), &mut input)
-        .map_err(|e| format!("reading stdin: {e}"))?;
-    let run = serve_on_input(args, &input)?;
+    let run = serve_on(args, &mut std::io::stdin().lock())?;
     eprint!("{}", run.summary);
     Ok(run.stdout)
 }
 
-/// The testable core of [`serve`]: everything except stdin/stderr wiring.
+/// The testable core of [`serve`] over an input string.
 ///
 /// # Errors
-/// Flag errors as printable messages.
+/// Same contract as [`serve_on`].
 pub fn serve_on_input(args: &Args, input: &str) -> Result<ServeRun, String> {
-    args.ensure_known(&["max-in-flight", "cache", "max-line-bytes", "format"])?;
-    let max_in_flight: usize = args.flag("max-in-flight", 0)?;
-    let max_line_bytes: usize = args.flag("max-line-bytes", DEFAULT_MAX_LINE_BYTES)?;
-    let fmt = format_of(&args.str_flag("format", "auto"))?;
-    let cache_enabled = match args.str_flag("cache", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("unknown --cache value `{other}` (on|off)")),
-    };
+    serve_on(args, &mut input.as_bytes())
+}
 
-    let mut pack_sources: PackSources = BTreeMap::new();
-    let mut mixed_sources: MixedSources = BTreeMap::new();
-    let mut seen_ids: BTreeSet<String> = BTreeSet::new();
-    let mut lines: Vec<Line> = Vec::new();
-    let mut parsed: Vec<ParsedLine> = Vec::new();
-
-    for raw in input.lines() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        if raw.len() > max_line_bytes {
-            // Best-effort correlate the error: scan the bounded prefix —
-            // the same bytes the streaming reader would have retained —
-            // for a leading id before discarding the line.
-            let prefix = raw.as_bytes().get(..max_line_bytes).unwrap_or(raw.as_bytes());
-            lines.push(Line::Error {
-                id: scan_leading_id(prefix),
-                msg: oversized_line_msg(raw.len(), max_line_bytes),
-            });
-            continue;
-        }
-        match parse_request_line(raw, fmt, &mut pack_sources, &mut mixed_sources) {
-            Ok(p) => {
-                if !seen_ids.insert(p.request.id.clone()) {
-                    lines.push(Line::Error {
-                        id: Some(p.request.id.clone()),
-                        msg: format!("duplicate request id `{}`", p.request.id),
-                    });
-                } else {
-                    lines.push(Line::Request(parsed.len()));
-                    parsed.push(p);
-                }
-            }
-            Err((id, msg)) => lines.push(Line::Error { id, msg }),
-        }
+/// Plain `psdp serve` over any reader: read the whole request stream,
+/// run its requests as one batch on the [`Scheduler`], and render every
+/// item — response or in-place error — in submission order.
+///
+/// # Errors
+/// Flag errors and stream read failures as printable messages.
+pub fn serve_on(args: &Args, reader: &mut impl BufRead) -> Result<ServeRun, String> {
+    args.ensure_known(&["cache", "max-line-bytes", "format"])?;
+    let mut state = StreamState::new(
+        format_of(&args.str_flag("format", "auto"))?,
+        args.flag("max-line-bytes", DEFAULT_MAX_LINE_BYTES)?,
+    );
+    let cache_enabled = cache_flag(args)?;
+    let items: Vec<StreamItem<LineCtx>> =
+        std::iter::from_fn(|| next_item(reader, &mut state)).collect();
+    if let Some(e) = state.read_err {
+        return Err(e);
     }
 
-    let requests: Vec<ServeRequest> = parsed.iter().map(|p| p.request.clone()).collect();
-    let mut scheduler = Scheduler::new(SchedulerOptions {
-        max_in_flight,
-        cache_enabled,
-        ..SchedulerOptions::default()
-    });
-    let output = scheduler.run_batch(&requests).map_err(|e| e.to_string())?;
+    let requests: Vec<ServeRequest> = items
+        .iter()
+        .filter_map(|item| match item {
+            StreamItem::Execute { request, .. } => Some(request.clone()),
+            _ => None,
+        })
+        .collect();
+    let output = Scheduler::new(SchedulerOptions { cache_enabled })
+        .run_batch(&requests)
+        .map_err(|e| e.to_string())?;
 
+    let mut responses = output.responses.into_iter();
     let mut stdout = String::new();
-    for line in &lines {
-        match line {
-            Line::Error { id, msg } => {
-                let id_json = match id {
-                    Some(s) => json_str(s),
-                    None => "null".to_string(),
+    for item in items {
+        let (ctx, outcome) = match item {
+            StreamItem::Execute { ctx, .. } => {
+                let outcome = match responses.next() {
+                    Some(resp) => StreamOutcome::Response(Box::new(resp)),
+                    // The batch answers every request it is given; if that
+                    // ever breaks, emit an error line in place rather than
+                    // panicking mid-stream.
+                    None => StreamOutcome::Rejected {
+                        error: "response missing for request (internal)".to_string(),
+                    },
                 };
-                stdout.push_str(&format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)));
+                (ctx, outcome)
             }
-            Line::Request(i) => match (parsed.get(*i), output.responses.get(*i)) {
-                (Some(p), Some(resp)) => stdout.push_str(&render_response(p, resp)),
-                // Indices are constructed in lockstep with the batch; if
-                // that invariant ever breaks, emit an error line in place
-                // rather than panicking mid-stream.
-                _ => stdout.push_str(
-                    "{\"id\":null,\"error\":\"response missing for request (internal)\"}\n",
-                ),
-            },
-        }
+            StreamItem::Reject { error, ctx } => (ctx, StreamOutcome::Rejected { error }),
+            StreamItem::Shed { id, ctx } => (ctx, StreamOutcome::Overloaded { id, shard: None }),
+        };
+        stdout.push_str(&render_outcome(&ctx, &outcome));
     }
     Ok(ServeRun { stdout, summary: summarize(&output.report) })
 }
 
-/// Caller context carried through the streaming service pipeline for each
-/// admitted line: what the sequenced outcome needs to render itself.
+/// The `--cache on|off` switch shared by every serve mode.
+fn cache_flag(args: &Args) -> Result<bool, String> {
+    match args.str_flag("cache", "on").as_str() {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(format!("unknown --cache value `{other}` (on|off)")),
+    }
+}
+
+/// Caller context carried with each stream item: what its outcome needs
+/// to render itself.
 enum LineCtx {
     /// A parsed request (rendering needs its payload and `file` field).
     Request(ParsedLine),
-    /// An admission-stage error; the id (already JSON-rendered) keys the
-    /// error line.
-    Error { id_json: String },
+    /// An admission-stage error, keyed by the best-effort request id.
+    Error { id: Option<String> },
+}
+
+/// Reader state of one request stream (stdin, or one socket client):
+/// the parse caches and the ids admitted so far.
+struct StreamState {
+    fmt: Format,
+    max_line_bytes: usize,
+    sources: Sources,
+    seen_ids: BTreeSet<String>,
+    /// The read failure that ended the stream, if any.
+    read_err: Option<String>,
+}
+
+impl StreamState {
+    fn new(fmt: Format, max_line_bytes: usize) -> Self {
+        StreamState {
+            fmt,
+            max_line_bytes,
+            sources: Sources::default(),
+            seen_ids: BTreeSet::new(),
+            read_err: None,
+        }
+    }
+}
+
+/// The one request reader behind every serve front end: read the next
+/// bounded item (a JSONL line or a binary frame), parse it, and admit it
+/// — or turn it into a typed in-place reject (oversized or malformed
+/// input, duplicate id). `None` at end of stream, or after a read failure
+/// (kept in [`StreamState::read_err`]).
+fn next_item(reader: &mut impl BufRead, state: &mut StreamState) -> Option<StreamItem<LineCtx>> {
+    let max = state.max_line_bytes;
+    let parsed = loop {
+        break match read_bounded_line(reader, max) {
+            Err(e) => {
+                state.read_err = Some(e);
+                return None;
+            }
+            Ok(BoundedLine::Eof) => return None,
+            Ok(BoundedLine::Line(raw)) if raw.trim().is_empty() => continue,
+            Ok(BoundedLine::Line(raw)) => parse_request_line(&raw, state.fmt, &mut state.sources),
+            Ok(BoundedLine::Frame(bytes)) => parse_frame_request(&bytes, &mut state.sources),
+            Ok(BoundedLine::Oversized { bytes, id }) => Err((id, oversized_line_msg(bytes, max))),
+            Ok(BoundedLine::OversizedFrame { bytes }) => {
+                Err((None, oversized_frame_msg(bytes, max)))
+            }
+            Ok(BoundedLine::TruncatedFrame) => Err((
+                None,
+                "truncated binary frame (stream ended before the declared length)".to_string(),
+            )),
+        };
+    };
+    let p = match parsed {
+        Ok(p) => p,
+        Err((id, error)) => return Some(StreamItem::Reject { error, ctx: LineCtx::Error { id } }),
+    };
+    if !state.seen_ids.insert(p.request.id.clone()) {
+        return Some(StreamItem::Reject {
+            error: format!("duplicate request id `{}`", p.request.id),
+            ctx: LineCtx::Error { id: Some(p.request.id) },
+        });
+    }
+    Some(StreamItem::Execute { request: p.request.clone(), ctx: LineCtx::Request(p) })
 }
 
 /// One item from the bounded request reader: a JSONL line or a
@@ -377,56 +418,14 @@ pub fn serve_listen_on(
     writer: &mut (impl Write + Send),
 ) -> Result<String, String> {
     let cfg = listen_config(args)?;
-    let mut service = cfg.service();
+    // Stdin is one producer behind a pipe that already applies
+    // backpressure: capping in-flight work at one queue's capacity makes
+    // admission block before any shard queue can fill, so a piped stream
+    // is never answered `overloaded` by the fixed queue bound.
+    let mut service = cfg.service(cfg.queue_cap);
     let mut notes = cfg.load_snapshot_notes(&mut service);
-    let max_line_bytes = cfg.max_line_bytes;
-    let fmt = cfg.fmt;
-
-    let mut pack_sources: PackSources = BTreeMap::new();
-    let mut mixed_sources: MixedSources = BTreeMap::new();
-    let mut seen_ids: BTreeSet<String> = BTreeSet::new();
-    let mut read_err: Option<String> = None;
-
-    let items = std::iter::from_fn(|| loop {
-        match read_bounded_line(reader, max_line_bytes) {
-            Err(e) => {
-                read_err = Some(e);
-                return None;
-            }
-            Ok(BoundedLine::Eof) => return None,
-            Ok(BoundedLine::Oversized { bytes, id }) => {
-                return Some(reject_item(id, oversized_line_msg(bytes, max_line_bytes)));
-            }
-            Ok(BoundedLine::OversizedFrame { bytes }) => {
-                return Some(reject_item(None, oversized_frame_msg(bytes, max_line_bytes)));
-            }
-            Ok(BoundedLine::TruncatedFrame) => {
-                return Some(reject_item(
-                    None,
-                    "truncated binary frame (stream ended before the declared length)".to_string(),
-                ));
-            }
-            Ok(BoundedLine::Frame(bytes)) => {
-                return Some(
-                    match parse_frame_request(&bytes, &mut pack_sources, &mut mixed_sources) {
-                        Ok(p) => admit_item(p, &mut seen_ids),
-                        Err((id, msg)) => reject_item(id, msg),
-                    },
-                );
-            }
-            Ok(BoundedLine::Line(raw)) => {
-                if raw.trim().is_empty() {
-                    continue;
-                }
-                return Some(
-                    match parse_request_line(&raw, fmt, &mut pack_sources, &mut mixed_sources) {
-                        Ok(p) => admit_item(p, &mut seen_ids),
-                        Err((id, msg)) => reject_item(id, msg),
-                    },
-                );
-            }
-        }
-    });
+    let mut state = StreamState::new(cfg.fmt, cfg.max_line_bytes);
+    let items = std::iter::from_fn(|| next_item(reader, &mut state));
 
     let mut write_err: Option<std::io::Error> = None;
     let report = service.run_stream(items, |ctx, outcome| {
@@ -441,7 +440,7 @@ pub fn serve_listen_on(
         }
     });
 
-    if let Some(e) = read_err {
+    if let Some(e) = state.read_err {
         return Err(e);
     }
     if let Some(e) = write_err {
@@ -499,11 +498,7 @@ fn listen_config(args: &Args) -> Result<ListenConfig, String> {
         queue_cap: args.flag("queue-cap", 1024)?,
         max_line_bytes: args.flag("max-line-bytes", DEFAULT_MAX_LINE_BYTES)?,
         fmt: format_of(&args.str_flag("format", "auto"))?,
-        cache_enabled: match args.str_flag("cache", "on").as_str() {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("unknown --cache value `{other}` (on|off)")),
-        },
+        cache_enabled: cache_flag(args)?,
         snapshot_path: args.opt_flag("snapshot").map(str::to_string),
         snapshot_keep: args.flag::<usize>("snapshot-keep", 1)?.max(1),
         shed_target_p99: (shed_ms > 0.0).then(|| std::time::Duration::from_secs_f64(shed_ms / 1e3)),
@@ -513,13 +508,15 @@ fn listen_config(args: &Args) -> Result<ListenConfig, String> {
 }
 
 impl ListenConfig {
-    fn service(&self) -> Service {
+    /// The streaming service for these flags; `max_outstanding` caps
+    /// dispatched-but-unemitted items (`0` = the service default).
+    fn service(&self, max_outstanding: usize) -> Service {
         Service::new(ServiceOptions {
             shards: self.shards,
             queue_capacity: self.queue_cap,
+            max_outstanding,
             cache_enabled: self.cache_enabled,
             shed_target_p99: self.shed_target_p99,
-            ..ServiceOptions::default()
         })
     }
 
@@ -624,7 +621,7 @@ pub fn serve_listen_socket_on(
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let cfg = listen_config(args)?;
-    let mut service = cfg.service();
+    let mut service = cfg.service(0);
     let mut notes = cfg.load_snapshot_notes(&mut service);
     let mux: FairMux<StreamItem<SocketCtx>> = FairMux::new(cfg.queue_cap.max(1));
 
@@ -730,38 +727,8 @@ fn client_reader(
     max_line_bytes: usize,
 ) {
     let mut r = std::io::BufReader::new(reader);
-    let mut pack_sources: PackSources = BTreeMap::new();
-    let mut mixed_sources: MixedSources = BTreeMap::new();
-    let mut seen_ids: BTreeSet<String> = BTreeSet::new();
-    loop {
-        let item = match read_bounded_line(&mut r, max_line_bytes) {
-            Err(_) | Ok(BoundedLine::Eof) => break,
-            Ok(BoundedLine::Oversized { bytes, id }) => {
-                reject_item(id, oversized_line_msg(bytes, max_line_bytes))
-            }
-            Ok(BoundedLine::OversizedFrame { bytes }) => {
-                reject_item(None, oversized_frame_msg(bytes, max_line_bytes))
-            }
-            Ok(BoundedLine::TruncatedFrame) => reject_item(
-                None,
-                "truncated binary frame (stream ended before the declared length)".to_string(),
-            ),
-            Ok(BoundedLine::Frame(bytes)) => {
-                match parse_frame_request(&bytes, &mut pack_sources, &mut mixed_sources) {
-                    Ok(p) => admit_item(p, &mut seen_ids),
-                    Err((id, msg)) => reject_item(id, msg),
-                }
-            }
-            Ok(BoundedLine::Line(raw)) => {
-                if raw.trim().is_empty() {
-                    continue;
-                }
-                match parse_request_line(&raw, fmt, &mut pack_sources, &mut mixed_sources) {
-                    Ok(p) => admit_item(p, &mut seen_ids),
-                    Err((id, msg)) => reject_item(id, msg),
-                }
-            }
-        };
+    let mut state = StreamState::new(fmt, max_line_bytes);
+    while let Some(item) = next_item(&mut r, &mut state) {
         if !mux.push(client_id, attach_client(item, client)) {
             break;
         }
@@ -803,18 +770,15 @@ fn client_writer(
 /// Render one sequenced stream outcome as its JSONL line.
 fn render_outcome(ctx: &LineCtx, outcome: &StreamOutcome) -> String {
     match outcome {
-        StreamOutcome::Rejected { error } => {
-            let id_json = match ctx {
-                LineCtx::Error { id_json } => id_json.as_str(),
-                LineCtx::Request(_) => "null",
-            };
-            format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(error))
-        }
+        StreamOutcome::Rejected { error } => match ctx {
+            LineCtx::Error { id } => error_line(id.as_deref(), error),
+            LineCtx::Request(_) => error_line(None, error),
+        },
         StreamOutcome::Overloaded { id, shard } => crate::jsonfmt::overloaded_line(id, *shard),
         StreamOutcome::Response(resp) => match ctx {
             LineCtx::Request(p) => render_response(p, resp),
-            LineCtx::Error { id_json } => {
-                internal_error_line(id_json, "response without request context")
+            LineCtx::Error { id } => {
+                error_line(id.as_deref(), "response without request context (internal)")
             }
         },
     }
@@ -903,28 +867,6 @@ fn oversized_frame_msg(len: usize, max: usize) -> String {
     format!("binary frame exceeds --max-line-bytes ({len} > {max} bytes); payload discarded")
 }
 
-/// Admit one parsed request into the stream (duplicate ids become typed
-/// rejects, same as the one-shot path).
-fn admit_item(p: ParsedLine, seen_ids: &mut BTreeSet<String>) -> StreamItem<LineCtx> {
-    if !seen_ids.insert(p.request.id.clone()) {
-        return StreamItem::Reject {
-            error: format!("duplicate request id `{}`", p.request.id),
-            ctx: LineCtx::Error { id_json: json_str(&p.request.id) },
-        };
-    }
-    let request = p.request.clone();
-    StreamItem::Execute { request, ctx: LineCtx::Request(p) }
-}
-
-/// An admission-stage reject keyed by the best-effort request id.
-fn reject_item(id: Option<String>, msg: String) -> StreamItem<LineCtx> {
-    let id_json = match id {
-        Some(s) => json_str(&s),
-        None => "null".to_string(),
-    };
-    StreamItem::Reject { error: msg, ctx: LineCtx::Error { id_json } }
-}
-
 fn summarize(r: &BatchReport) -> String {
     let ms = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
     format!(
@@ -962,23 +904,18 @@ fn serve_stats_json(s: &ServeStats) -> String {
     )
 }
 
-/// In-place error line for invariant breaches while rendering: the stream
-/// keeps flowing, the line says what went wrong.
-fn internal_error_line(id_json: &str, msg: &str) -> String {
-    format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(&format!("{msg} (internal)")))
-}
-
 /// Render one response line (reusing the one-shot `--json` schemas; see
 /// the module docs for the determinism contract). Family mismatches
 /// between result and payload cannot happen by construction, but render as
 /// in-place error lines rather than panics if they ever do.
 fn render_response(p: &ParsedLine, resp: &ServeResponse) -> String {
     let id_json = json_str(&resp.id);
+    let internal = |msg: &str| error_line(Some(&resp.id), &format!("{msg} (internal)"));
     match &resp.result {
-        Err(msg) => format!("{{\"id\":{id_json},\"error\":{}}}\n", json_str(msg)),
+        Err(msg) => error_line(Some(&resp.id), msg),
         Ok(ServeResult::Decision(d)) => {
             let psdp_serve::InstancePayload::Packing(inst) = &p.request.payload else {
-                return internal_error_line(&id_json, "decision result with mixed payload");
+                return internal("decision result with mixed payload");
             };
             format!(
                 "{{\"id\":{id_json},\"command\":\"solve\",{},\"serve\":{}}}\n",
@@ -988,7 +925,7 @@ fn render_response(p: &ParsedLine, resp: &ServeResponse) -> String {
         }
         Ok(ServeResult::Optimize(r)) => {
             let psdp_serve::InstancePayload::Packing(inst) = &p.request.payload else {
-                return internal_error_line(&id_json, "optimize result with mixed payload");
+                return internal("optimize result with mixed payload");
             };
             format!(
                 "{{\"id\":{id_json},\"command\":\"optimize\",{},\"serve\":{}}}\n",
@@ -998,7 +935,7 @@ fn render_response(p: &ParsedLine, resp: &ServeResponse) -> String {
         }
         Ok(ServeResult::Mixed(r)) => {
             let psdp_serve::InstancePayload::Mixed(inst) = &p.request.payload else {
-                return internal_error_line(&id_json, "mixed result with packing payload");
+                return internal("mixed result with packing payload");
             };
             format!(
                 "{{\"id\":{id_json},\"command\":\"mixed\",{},\"serve\":{}}}\n",
@@ -1093,7 +1030,7 @@ fn id_and_command(
 /// returned hash is the header's content hash, already checked), text
 /// parses canonically and is hashed exactly once, here.
 fn packing_source(
-    sources: &mut PackSources,
+    sources: &mut BTreeMap<String, (Arc<PackingInstance>, u64)>,
     key: &str,
     fmt: Format,
     load: impl FnOnce() -> Result<Vec<u8>, String>,
@@ -1116,7 +1053,7 @@ fn packing_source(
 
 /// Mixed-family counterpart of [`packing_source`].
 fn mixed_source(
-    sources: &mut MixedSources,
+    sources: &mut BTreeMap<String, (Arc<MixedInstance>, u64)>,
     key: &str,
     fmt: Format,
     load: impl FnOnce() -> Result<Vec<u8>, String>,
@@ -1189,13 +1126,43 @@ fn mixed_request(
     Ok(ServeRequest::mixed_hashed(id, inst, hash, opts))
 }
 
+/// Load the instance `command` runs on (through the source caches) and
+/// build its request — the dispatch shared by the text-line and
+/// binary-frame parsers.
+fn build_request(
+    obj: &JsonValue,
+    command: &str,
+    id: String,
+    sources: &mut Sources,
+    source_key: &str,
+    fmt: Format,
+    load: impl FnOnce() -> Result<Vec<u8>, String>,
+) -> Result<ServeRequest, String> {
+    match command {
+        "solve" => {
+            let (inst, hash) = packing_source(&mut sources.pack, source_key, fmt, load)?;
+            solve_request(obj, id, inst, hash)
+        }
+        "optimize" => {
+            let (inst, hash) = packing_source(&mut sources.pack, source_key, fmt, load)?;
+            optimize_request(obj, id, inst, hash)
+        }
+        "mixed" => {
+            let (inst, hash) = mixed_source(&mut sources.mixed, source_key, fmt, load)?;
+            mixed_request(obj, id, inst, hash)
+        }
+        // Already rejected by the `allowed_keys` check; keep the typed
+        // error anyway so this match can never panic as commands evolve.
+        other => Err(format!("unknown command `{other}` (solve|optimize|mixed)")),
+    }
+}
+
 /// Parse one request line. On failure returns `(best-effort id, message)`
 /// so the error response can still be keyed.
 fn parse_request_line(
     raw: &str,
     fmt: Format,
-    pack_sources: &mut PackSources,
-    mixed_sources: &mut MixedSources,
+    sources: &mut Sources,
 ) -> Result<ParsedLine, (Option<String>, String)> {
     let obj = parse(raw).map_err(|e| (None, e.to_string()))?;
     let (id, command) = id_and_command(&obj, false)?;
@@ -1229,26 +1196,8 @@ fn parse_request_line(
         (None, None) => return Err(fail("missing `file` or `instance`".to_string())),
     };
 
-    let request = match command.as_str() {
-        "solve" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, fmt, load).map_err(&fail)?;
-            solve_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "optimize" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, fmt, load).map_err(&fail)?;
-            optimize_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "mixed" => {
-            let (inst, hash) =
-                mixed_source(mixed_sources, &source_key, fmt, load).map_err(&fail)?;
-            mixed_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        // Already rejected by the `allowed_keys` check; keep the typed
-        // error anyway so this match can never panic as commands evolve.
-        other => return Err(fail(format!("unknown command `{other}` (solve|optimize|mixed)"))),
-    };
+    let request =
+        build_request(&obj, &command, id.clone(), sources, &source_key, fmt, load).map_err(fail)?;
     Ok(ParsedLine { request, file_json })
 }
 
@@ -1262,8 +1211,7 @@ fn parse_request_line(
 /// therefore never alias a cached instance).
 fn parse_frame_request(
     frame: &[u8],
-    pack_sources: &mut PackSources,
-    mixed_sources: &mut MixedSources,
+    sources: &mut Sources,
 ) -> Result<ParsedLine, (Option<String>, String)> {
     let mut len_bytes = [0u8; 4];
     let header = frame
@@ -1288,27 +1236,10 @@ fn parse_frame_request(
     }
     let source_key = format!("bin:{:016x}", fnv1a(inst_bytes));
 
-    let request = match command.as_str() {
-        "solve" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, Format::Bin, || Ok(inst_bytes.to_vec()))
-                    .map_err(&fail)?;
-            solve_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "optimize" => {
-            let (inst, hash) =
-                packing_source(pack_sources, &source_key, Format::Bin, || Ok(inst_bytes.to_vec()))
-                    .map_err(&fail)?;
-            optimize_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        "mixed" => {
-            let (inst, hash) =
-                mixed_source(mixed_sources, &source_key, Format::Bin, || Ok(inst_bytes.to_vec()))
-                    .map_err(&fail)?;
-            mixed_request(&obj, id.clone(), inst, hash).map_err(&fail)?
-        }
-        other => return Err(fail(format!("unknown command `{other}` (solve|optimize|mixed)"))),
-    };
+    let load = || Ok(inst_bytes.to_vec());
+    let request =
+        build_request(&obj, &command, id.clone(), sources, &source_key, Format::Bin, load)
+            .map_err(fail)?;
     Ok(ParsedLine { request, file_json: "null".to_string() })
 }
 
@@ -1415,6 +1346,7 @@ mod tests {
     fn bad_flags_rejected() {
         assert!(serve_on_input(&args(&["serve", "--cache", "sideways"]), "").is_err());
         assert!(serve_on_input(&args(&["serve", "--max-inflight", "2"]), "").is_err());
+        assert!(serve_on_input(&args(&["serve", "--max-in-flight", "2"]), "").is_err());
         assert!(
             serve_listen_on_input(&args(&["serve", "--listen", "--cache", "maybe"]), "").is_err()
         );
@@ -1528,6 +1460,9 @@ mod tests {
         // Same fingerprint, same cold-start telemetry: the whole response
         // line is byte-identical across the two encodings.
         assert_eq!(via_text.stdout, via_frame.stdout);
+        // Plain `serve` reads frames through the same reader.
+        let one_shot = serve_on(&args(&["serve"]), &mut frame_input.as_slice()).unwrap();
+        assert_eq!(via_text.stdout, one_shot.stdout);
 
         // Within one stream, a frame after the equivalent text submission
         // lands in the same cache entry (the fingerprint is shared).
@@ -1602,6 +1537,60 @@ mod tests {
         assert!(lines[0].contains("not psdp-bin-1"), "{}", lines[0]);
         assert!(lines[1].contains("not allowed in a binary frame"), "{}", lines[1]);
         assert!(lines[2].contains("truncated binary frame"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn piped_stdin_blocks_instead_of_shedding() {
+        // One producer on a pipe: admission must wait for the tiny queue
+        // to drain, never answer `overloaded`.
+        let text = inline_packing();
+        let input: String = (0..16)
+            .map(|i| {
+                let threshold = 0.5 + 0.01 * f64::from(i);
+                format!(
+                    "{{\"id\":\"r{i:02}\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":{threshold}}}\n"
+                )
+            })
+            .collect();
+        let flags = ["serve", "--listen", "--shards", "1", "--queue-cap", "2"];
+        let run = serve_listen_on_input(&args(&flags), &input).unwrap();
+        let lines: Vec<&str> = run.stdout.lines().collect();
+        assert_eq!(lines.len(), 16, "{}", run.stdout);
+        assert!(lines.iter().all(|l| l.contains("\"command\":\"solve\"")), "{}", run.stdout);
+        assert!(!run.stdout.contains("overloaded"), "{}", run.stdout);
+        assert!(run.summary.contains("0 overloaded"), "{}", run.summary);
+    }
+
+    #[test]
+    fn scheduler_groups_share_one_session() {
+        // Two near-threshold solves on one fingerprint in one batch: the
+        // second replays the first's trajectory from the shared session.
+        let inst = PackingInstance::new(psdp_workloads::random_factorized(
+            &psdp_workloads::RandomFactorized {
+                dim: 8,
+                n: 8,
+                rank: 2,
+                nnz_per_col: 2,
+                width: 1.0,
+                seed: 1,
+            },
+        ))
+        .unwrap();
+        let text = write_instance(&inst).replace('\n', "\\n");
+        let input = format!(
+            "{{\"id\":\"a\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":1.0,\"engine\":\"jl\"}}\n\
+             {{\"id\":\"b\",\"command\":\"solve\",\"instance\":\"{text}\",\"threshold\":1.02,\"engine\":\"jl\"}}\n"
+        );
+        let run = serve_on_input(&args(&["serve"]), &input).unwrap();
+        let second = run.stdout.lines().nth(1).unwrap();
+        let serve_stats = second.rsplit("\"serve\":").next().unwrap();
+        let replayed = serve_stats
+            .rsplit("\"replayed\":")
+            .next()
+            .and_then(|r| r.trim_end_matches('}').parse::<usize>().ok())
+            .unwrap();
+        assert!(replayed > 0, "{second}");
+        assert!(serve_stats.contains("\"prep_reused\":true"), "{second}");
     }
 
     #[test]
@@ -1746,7 +1735,7 @@ mod tests {
 
     #[test]
     fn overloaded_outcomes_render_through_the_shared_schema() {
-        let ctx = LineCtx::Error { id_json: json_str("r9") };
+        let ctx = LineCtx::Error { id: Some("r9".to_string()) };
         let routed =
             render_outcome(&ctx, &StreamOutcome::Overloaded { id: "r9".into(), shard: Some(3) });
         assert_eq!(

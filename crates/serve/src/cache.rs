@@ -22,11 +22,19 @@
 //! miss, never reuse the wrong prepared state.
 
 use crate::request::{InstancePayload, RequestKind, ServeRequest};
-use psdp_core::{Fnv1a, MixedInstance, PackingInstance};
+use psdp_core::{
+    DecisionOptions, Fnv1a, MixedInstance, MixedOptions, MixedSolver, PackingInstance, Solver,
+};
 use psdp_expdot::{Engine, EngineKind};
 use std::sync::Arc;
 
 pub use psdp_core::fnv1a;
+
+/// Cache capacity in fingerprints (per shard for the streaming service).
+pub(crate) const MAX_ENTRIES: usize = 256;
+
+/// Memoized results kept per fingerprint.
+pub(crate) const MEMO_PER_ENTRY: usize = 64;
 
 /// Prepared, immutable solver state for one fingerprint.
 #[derive(Clone)]
@@ -56,6 +64,68 @@ impl Prepared {
         match self {
             Prepared::Packing { inst, .. } => InstancePayload::Packing(Arc::clone(inst)),
             Prepared::Mixed { inst, .. } => InstancePayload::Mixed(Arc::clone(inst)),
+        }
+    }
+
+    /// The one solver-preparation recipe, shared by request execution and
+    /// snapshot warm loads: a solver over `payload` for the fingerprint's
+    /// engine kind and seed. With `prior` (tier 2) its engines are reused
+    /// through `build_with_engine(s)`; without, they are built — which is
+    /// where factorizations and `Auto` resolution are paid.
+    pub(crate) fn solver<'i>(
+        payload: &'i InstancePayload,
+        prior: Option<&Prepared>,
+        engine_kind: EngineKind,
+        seed: u64,
+    ) -> Result<Built<'i>, String> {
+        let built = match (payload, prior) {
+            (InstancePayload::Packing(inst), None | Some(Prepared::Packing { .. })) => {
+                let opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
+                let builder = Solver::builder(inst).options(opts);
+                match prior {
+                    Some(Prepared::Packing { engine, .. }) => {
+                        builder.build_with_engine(Arc::clone(engine))
+                    }
+                    _ => builder.build(),
+                }
+                .map(|s| Built::Packing(inst, s))
+            }
+            (InstancePayload::Mixed(inst), None | Some(Prepared::Mixed { .. })) => {
+                let opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
+                let builder = MixedSolver::builder(inst).options(opts);
+                match prior {
+                    Some(Prepared::Mixed { pack_engine, cover_engine, .. }) => builder
+                        .build_with_engines(Arc::clone(pack_engine), Arc::clone(cover_engine)),
+                    _ => builder.build(),
+                }
+                .map(|s| Built::Mixed(inst, s))
+            }
+            _ => return Err("cache entry family mismatch (internal)".to_string()),
+        };
+        built.map_err(|e| e.to_string())
+    }
+}
+
+/// A solver assembled by [`Prepared::solver`], with the shared instance
+/// it borrows.
+pub(crate) enum Built<'i> {
+    /// Packing family.
+    Packing(&'i Arc<PackingInstance>, Solver<'i>),
+    /// Mixed family.
+    Mixed(&'i Arc<MixedInstance>, MixedSolver<'i>),
+}
+
+impl Built<'_> {
+    /// The cacheable prepared state: the instance and the solver's engines.
+    pub(crate) fn prepared(&self) -> Prepared {
+        match self {
+            Built::Packing(inst, s) => {
+                Prepared::Packing { inst: Arc::clone(inst), engine: s.engine_handle() }
+            }
+            Built::Mixed(inst, s) => {
+                let (pack_engine, cover_engine) = s.engine_handles();
+                Prepared::Mixed { inst: Arc::clone(inst), pack_engine, cover_engine }
+            }
         }
     }
 }

@@ -10,9 +10,9 @@
 //!   (decision / optimize / mixed), each with its own options, over
 //!   `Arc`-shared instances,
 //! * [`Scheduler`] — groups a batch by preparation fingerprint, executes
-//!   groups over the shared rayon pool with bounded in-flight concurrency,
-//!   and returns responses in submission order with per-request
-//!   [`ServeStats`] and an aggregate [`BatchReport`],
+//!   groups in parallel over the caller's rayon pool, and returns
+//!   responses in submission order with per-request [`ServeStats`] and an
+//!   aggregate [`BatchReport`],
 //! * [`SolverCache`] — the fingerprint-keyed store amortizing solver
 //!   preparation (factorizations, `Auto` engine resolution), memoizing
 //!   repeat results, and carrying certified brackets into perturbed
@@ -31,17 +31,23 @@
 //!   ([`transport::FairMux`]) that keeps one firehose client from
 //!   starving the rest.
 //!
+//! Both orchestrators — the one-shot [`Scheduler`] and the streaming
+//! [`Service`] — hand requests to one shared executor, which walks the
+//! reuse tiers (memo, prepared engines, certified bracket) and runs the
+//! solve; only scheduling differs between them.
+//!
 //! Determinism contract: responses are a function of the batch contents
-//! (plus prior batches on the same scheduler), never of submission order,
-//! pool width, or `max_in_flight`; the streaming service extends the same
-//! contract across shard counts and worker interleavings (see
-//! [`service`]). `tests/determinism.rs` at the workspace root pins this
-//! down bitwise. `DESIGN.md` §10 documents the cache-key soundness
-//! argument and §13 the service architecture.
+//! (plus prior batches on the same scheduler), never of submission order
+//! or pool width; the streaming service extends the same contract across
+//! shard counts and worker interleavings (see [`service`]).
+//! `tests/determinism.rs` at the workspace root pins this down bitwise.
+//! `DESIGN.md` §10 documents the cache-key soundness argument and §13 the
+//! two orchestrators.
 
 #![warn(missing_docs)]
 
 pub mod cache;
+mod exec;
 pub mod json;
 pub mod request;
 pub mod scheduler;
@@ -250,10 +256,7 @@ mod tests {
         let requests: Vec<ServeRequest> = (0..3)
             .map(|i| ServeRequest::optimize(format!("r{i}"), Arc::clone(&pack), opts))
             .collect();
-        let mut cold = Scheduler::new(SchedulerOptions {
-            cache_enabled: false,
-            ..SchedulerOptions::default()
-        });
+        let mut cold = Scheduler::new(SchedulerOptions { cache_enabled: false });
         let out = cold.run_batch(&requests).unwrap();
         assert_eq!(out.report.groups, 3);
         assert_eq!(out.report.prep_builds, 3);
@@ -369,31 +372,6 @@ mod tests {
         assert!(out.responses[0].result.is_err());
         assert!(out.responses[1].result.is_ok());
         assert_eq!(out.report.errors, 1);
-    }
-
-    #[test]
-    fn bounded_in_flight_concurrency_is_result_neutral() {
-        let insts: Vec<Arc<PackingInstance>> =
-            (0..5).map(|i| diag_inst(&[&[1.0 + i as f64, 0.0], &[0.0, 2.0 + i as f64]])).collect();
-        let requests: Vec<ServeRequest> = insts
-            .iter()
-            .enumerate()
-            .map(|(i, inst)| {
-                ServeRequest::optimize(
-                    format!("r{i}"),
-                    Arc::clone(inst),
-                    ApproxOptions::serving(0.15),
-                )
-            })
-            .collect();
-        let digest = |max_in_flight: usize| -> Vec<String> {
-            let mut sched =
-                Scheduler::new(SchedulerOptions { max_in_flight, ..SchedulerOptions::default() });
-            let out = sched.run_batch(&requests).unwrap();
-            out.responses.iter().map(response_fingerprint).collect()
-        };
-        assert_eq!(digest(1), digest(4));
-        assert_eq!(digest(1), digest(0));
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! so a 64-bit collision can only split a group, never merge two):
 //! requests over the same instance with the same engine kind and seed
 //! share one prepared solver and one session.
-//! Groups run concurrently over the shared rayon pool, bounded by
-//! [`SchedulerOptions::max_in_flight`]; within a group requests run
-//! sequentially **in request-id order**, so which request pays the cold
-//! costs — and every response byte — is a function of the batch's
-//! *contents*, never of submission order or pool width. Responses are
-//! returned in submission order (each carries its id).
+//! Groups run concurrently over the caller's rayon pool; each group is
+//! one call of the shared per-request executor (`crate::exec`), which
+//! runs its requests sequentially **in request-id order**, so which
+//! request pays the cold costs — and every response byte — is a function
+//! of the batch's *contents*, never of submission order or pool width.
+//! Responses are returned in submission order (each carries its id).
 //!
 //! ## Reuse tiers
 //!
@@ -32,41 +32,26 @@
 //! See `DESIGN.md` §10 for the soundness argument (what the fingerprint
 //! must cover so a cache hit can never change a verdict).
 
-use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry, MemoEntry, Prepared};
-use crate::request::{InstancePayload, RequestKind, ServeRequest};
-use psdp_core::{
-    DecisionOptions, DecisionResult, MixedInstance, MixedOptions, MixedReport, MixedSolver,
-    PackingReport, Solver,
-};
+use crate::cache::{prep_engine_of, prep_hash, CacheEntry};
+use crate::exec::{execute, Executed};
+use crate::request::ServeRequest;
+use psdp_core::{DecisionResult, MixedReport, PackingReport};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerOptions {
-    /// Upper bound on groups solved concurrently (`0` = the rayon pool
-    /// width). Concurrency never changes results, only wall clock.
-    pub max_in_flight: usize,
     /// Master switch for the fingerprint cache. Off = every request is its
     /// own cold group (the baseline the `serve_throughput` bench compares
     /// against).
     pub cache_enabled: bool,
-    /// Cache capacity in fingerprints (deterministic LRU eviction).
-    pub max_entries: usize,
-    /// Memoized results kept per fingerprint.
-    pub memo_per_entry: usize,
 }
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
-        SchedulerOptions {
-            max_in_flight: 0,
-            cache_enabled: true,
-            max_entries: 256,
-            memo_per_entry: 64,
-        }
+        SchedulerOptions { cache_enabled: true }
     }
 }
 
@@ -91,11 +76,11 @@ impl std::error::Error for ServeError {}
 /// A successful request result.
 #[derive(Debug, Clone)]
 pub enum ServeResult {
-    /// Result of a [`RequestKind::Decision`] request.
+    /// Result of a [`crate::RequestKind::Decision`] request.
     Decision(DecisionResult),
-    /// Result of a [`RequestKind::Optimize`] request.
+    /// Result of a [`crate::RequestKind::Optimize`] request.
     Optimize(PackingReport),
-    /// Result of a [`RequestKind::Mixed`] request.
+    /// Result of a [`crate::RequestKind::Mixed`] request.
     Mixed(MixedReport),
 }
 
@@ -203,9 +188,8 @@ pub struct Scheduler {
     cache: crate::cache::SolverCache,
 }
 
-/// One fingerprint group's members: `(submission index, request, params
-/// key)`.
-type GroupItems<'r> = Vec<(usize, &'r ServeRequest, String)>;
+/// One fingerprint group's members: `(submission index, request)`.
+type GroupItems<'r> = Vec<(usize, &'r ServeRequest)>;
 
 /// Work unit handed to a group worker.
 struct GroupWork<'r> {
@@ -224,17 +208,10 @@ fn fingerprint_eq(a: &ServeRequest, b: &ServeRequest) -> bool {
     prep_engine_of(&a.kind) == prep_engine_of(&b.kind) && a.payload.structural_eq(&b.payload)
 }
 
-/// What a group worker hands back.
-struct GroupOutcome {
-    responses: Vec<(usize, ServeResponse)>,
-    entry: Option<CacheEntry>,
-    prep_built: bool,
-}
-
 impl Scheduler {
     /// A scheduler with the given options.
     pub fn new(opts: SchedulerOptions) -> Self {
-        Scheduler { opts, cache: crate::cache::SolverCache::new(opts.max_entries) }
+        Scheduler { opts, cache: crate::cache::SolverCache::new(crate::cache::MAX_ENTRIES) }
     }
 
     /// Number of fingerprints currently cached.
@@ -266,29 +243,20 @@ impl Scheduler {
         // split each bucket by *actual* fingerprint equality so a 64-bit
         // collision can only split a group, never merge two distinct
         // fingerprints onto one prepared solver.
-        let mut mismatched: Vec<usize> = Vec::new();
+        let cache_enabled = self.opts.cache_enabled;
         let mut buckets: BTreeMap<u64, Vec<GroupItems<'_>>> = BTreeMap::new();
         for (idx, req) in requests.iter().enumerate() {
-            if !req.payload_matches_kind() {
-                mismatched.push(idx);
-                continue;
-            }
-            let hash = if self.opts.cache_enabled {
-                prep_hash(req)
-            } else {
-                // Cold mode: every request is its own group and nothing is
-                // kept, giving the uncached per-request baseline. The
-                // synthetic hash is never inserted, only unique.
-                idx as u64
-            };
+            // Cold mode: every request is its own group and nothing is
+            // kept, giving the uncached per-request baseline. The
+            // synthetic hash is never inserted, only unique.
+            let hash = if cache_enabled { prep_hash(req) } else { idx as u64 };
             let subs = buckets.entry(hash).or_default();
-            let item = (idx, req, params_key(&req.kind));
             match subs
                 .iter_mut()
-                .find(|s| s.first().is_some_and(|(_, rep, _)| fingerprint_eq(rep, req)))
+                .find(|s| s.first().is_some_and(|(_, rep)| fingerprint_eq(rep, req)))
             {
-                Some(s) => s.push(item),
-                None => subs.push(vec![item]),
+                Some(s) => s.push((idx, req)),
+                None => subs.push(vec![(idx, req)]),
             }
         }
         let mut work: Vec<GroupWork<'_>> = Vec::new();
@@ -303,8 +271,8 @@ impl Scheduler {
                 a.first().map(|x| x.1.id.as_str()).cmp(&b.first().map(|x| x.1.id.as_str()))
             });
             for items in subs {
-                let entry = if self.opts.cache_enabled {
-                    items.first().and_then(|(_, rep, _)| self.cache.take(hash, rep))
+                let entry = if cache_enabled {
+                    items.first().and_then(|(_, rep)| self.cache.take(hash, rep))
                 } else {
                     None
                 };
@@ -312,65 +280,35 @@ impl Scheduler {
             }
         }
 
-        // Bounded in-flight concurrency over the shared pool.
-        let width = rayon::current_num_threads();
-        let budget = if self.opts.max_in_flight == 0 {
-            width
-        } else {
-            self.opts.max_in_flight.min(width).max(1)
+        // Groups run in parallel on the caller's pool; concurrency never
+        // changes results, only wall clock.
+        let group_count = work.len();
+        let outcomes: Vec<(Vec<usize>, Executed)> = {
+            use rayon::prelude::*;
+            work.into_par_iter()
+                .map(|w| {
+                    let (idxs, reqs): (Vec<usize>, Vec<&ServeRequest>) =
+                        w.items.into_iter().unzip();
+                    (idxs, execute(w.hash, w.entry, &reqs, batch_start))
+                })
+                .collect()
         };
-        let memo_cap = self.opts.memo_per_entry;
-        let keep_entries = self.opts.cache_enabled;
-        let work_now: Vec<GroupWork<'_>> = std::mem::take(&mut work);
-        let group_count = work_now.len();
-        // Concurrency never changes results, so if pool construction fails
-        // (resource exhaustion), degrade to sequential execution instead of
-        // panicking mid-batch.
-        let outcomes: Vec<GroupOutcome> =
-            match rayon::ThreadPoolBuilder::new().num_threads(budget).build() {
-                Ok(pool) => pool.install(|| {
-                    use rayon::prelude::*;
-                    work_now
-                        .into_par_iter()
-                        .map(|w| process_group(w, memo_cap, keep_entries, batch_start))
-                        .collect()
-                }),
-                Err(_) => work_now
-                    .into_iter()
-                    .map(|w| process_group(w, memo_cap, keep_entries, batch_start))
-                    .collect(),
-            };
 
         // Re-insert surviving entries in canonical group order.
         let mut prep_builds = 0usize;
-        for outcome in &outcomes {
-            if outcome.prep_built {
+        let mut responses: Vec<Option<ServeResponse>> = requests.iter().map(|_| None).collect();
+        for (idxs, out) in outcomes {
+            if out.prep_built {
                 prep_builds += 1;
             }
-        }
-        let mut responses: Vec<Option<ServeResponse>> = requests.iter().map(|_| None).collect();
-        for outcome in outcomes {
-            if let Some(entry) = outcome.entry {
+            if let Some(entry) = out.entry.filter(|_| cache_enabled) {
                 self.cache.insert(entry);
             }
-            for (idx, resp) in outcome.responses {
+            for (idx, resp) in idxs.into_iter().zip(out.responses) {
                 if let Some(slot) = responses.get_mut(idx) {
                     *slot = Some(resp);
                 }
             }
-        }
-        for &idx in &mismatched {
-            let (Some(slot), Some(req)) = (responses.get_mut(idx), requests.get(idx)) else {
-                continue;
-            };
-            *slot = Some(ServeResponse {
-                id: req.id.clone(),
-                result: Err(format!(
-                    "request kind `{}` does not match its instance payload",
-                    req.kind.name()
-                )),
-                stats: ServeStats::default(),
-            });
         }
         // Every request gets an answer even if a group worker dropped one
         // on the floor (a bug, but one that must surface as an error
@@ -410,265 +348,4 @@ impl Scheduler {
         }
         Ok(BatchOutput { responses, report })
     }
-}
-
-/// Execute one fingerprint group sequentially (id order).
-fn process_group(
-    w: GroupWork<'_>,
-    memo_cap: usize,
-    keep_entry: bool,
-    batch_start: Instant,
-) -> GroupOutcome {
-    match w.items.first().map(|(_, req, _)| &req.payload) {
-        Some(InstancePayload::Packing(_)) => {
-            process_packing_group(w, memo_cap, keep_entry, batch_start)
-        }
-        Some(InstancePayload::Mixed(_)) => {
-            process_mixed_group(w, memo_cap, keep_entry, batch_start)
-        }
-        // An empty group produces no responses; the batch assembler backfills
-        // any unanswered request with an internal-error response.
-        None => GroupOutcome { responses: Vec::new(), entry: None, prep_built: false },
-    }
-}
-
-/// Respond to every item with the same (preparation-stage) error.
-fn error_group(items: Vec<(usize, &ServeRequest, String)>, msg: &str) -> GroupOutcome {
-    let responses = items
-        .into_iter()
-        .map(|(idx, req, _)| {
-            (
-                idx,
-                ServeResponse {
-                    id: req.id.clone(),
-                    result: Err(msg.to_string()),
-                    stats: ServeStats::default(),
-                },
-            )
-        })
-        .collect();
-    GroupOutcome { responses, entry: None, prep_built: false }
-}
-
-fn process_packing_group(
-    w: GroupWork<'_>,
-    memo_cap: usize,
-    keep_entry: bool,
-    batch_start: Instant,
-) -> GroupOutcome {
-    let GroupWork { hash, entry, items } = w;
-    let Some((_, first_req, _)) = items.first() else {
-        return GroupOutcome { responses: Vec::new(), entry: None, prep_built: false };
-    };
-    let (engine_kind, seed) = prep_engine_of(&first_req.kind);
-    let build_opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-
-    // Reuse or build the prepared state.
-    let first_payload = &first_req.payload;
-    let (inst, prior_engine, mut memo, mut bracket, prep_built) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Packing { inst, engine } => (inst, Some(engine), e.memo, e.bracket, false),
-            Prepared::Mixed { .. } => {
-                return error_group(items, "cache entry family mismatch (internal)");
-            }
-        },
-        None => match first_payload {
-            InstancePayload::Packing(i) => (Arc::clone(i), None, Vec::new(), None, true),
-            InstancePayload::Mixed(_) => {
-                return error_group(items, "mixed payload routed to a packing group (internal)");
-            }
-        },
-    };
-    let inst_ref = Arc::clone(&inst);
-    let solver = {
-        let builder = Solver::builder(&inst_ref).options(build_opts);
-        let built = match prior_engine {
-            Some(engine) => builder.build_with_engine(engine),
-            None => builder.build(),
-        };
-        match built {
-            Ok(s) => s,
-            Err(e) => return error_group(items, &format!("solver preparation failed: {e}")),
-        }
-    };
-    let mut session = solver.session();
-
-    let mut responses = Vec::with_capacity(items.len());
-    for (pos, (idx, req, params)) in items.iter().enumerate() {
-        let started = Instant::now();
-        let mut stats = ServeStats {
-            queue_wait: started.duration_since(batch_start),
-            prep_reused: !(prep_built && pos == 0),
-            ..ServeStats::default()
-        };
-        let result: Result<ServeResult, String> =
-            if let Some(hit) = memo.iter().find(|m| m.params == *params) {
-                stats.memoized = true;
-                Ok(hit.result.clone())
-            } else {
-                let run = match &req.kind {
-                    RequestKind::Decision { threshold, opts } => session
-                        .solve_with(*threshold, opts)
-                        .map(ServeResult::Decision)
-                        .map_err(|e| e.to_string()),
-                    RequestKind::Optimize { opts } => {
-                        let mut o = *opts;
-                        if let Some((prior_params, lo, hi)) = &bracket {
-                            if prior_params != params {
-                                // Perturbed resubmission: continue from the
-                                // prior certified bracket (tier 3).
-                                o.initial_bracket = Some(match o.initial_bracket {
-                                    Some((l, h)) => (l.max(*lo), h.min(*hi)),
-                                    None => (*lo, *hi),
-                                });
-                                stats.bracket_injected = true;
-                            }
-                        }
-                        session
-                            .optimize(&o)
-                            .map(|r| {
-                                bracket = Some((params.clone(), r.value_lower, r.value_upper));
-                                ServeResult::Optimize(r)
-                            })
-                            .map_err(|e| e.to_string())
-                    }
-                    RequestKind::Mixed { .. } => {
-                        Err("mixed request routed to a packing group (internal)".to_string())
-                    }
-                };
-                if let Ok(res) = &run {
-                    if memo.len() < memo_cap {
-                        memo.push(MemoEntry { params: params.clone(), result: res.clone() });
-                    }
-                }
-                run
-            };
-        if let Ok(res) = &result {
-            let (evals, replayed) = match res {
-                ServeResult::Decision(d) if !stats.memoized => {
-                    (d.stats.engine_evals, d.stats.replayed)
-                }
-                ServeResult::Optimize(r) if !stats.memoized => {
-                    (r.total_engine_evals, r.total_replayed)
-                }
-                _ => (0, 0),
-            };
-            stats.engine_evals = evals;
-            stats.replayed = replayed;
-        }
-        stats.service = started.elapsed();
-        responses.push((*idx, ServeResponse { id: req.id.clone(), result, stats }));
-    }
-
-    let engine = solver.engine_handle();
-    drop(session);
-    let entry = keep_entry.then_some(CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Packing { inst, engine },
-        memo,
-        bracket,
-        last_used: 0,
-    });
-    GroupOutcome { responses, entry, prep_built }
-}
-
-fn process_mixed_group(
-    w: GroupWork<'_>,
-    memo_cap: usize,
-    keep_entry: bool,
-    batch_start: Instant,
-) -> GroupOutcome {
-    let GroupWork { hash, entry, items } = w;
-    let Some((_, first_req, _)) = items.first() else {
-        return GroupOutcome { responses: Vec::new(), entry: None, prep_built: false };
-    };
-    let (engine_kind, seed) = prep_engine_of(&first_req.kind);
-    let build_opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-
-    type EnginePair = (Arc<psdp_expdot::Engine>, Arc<psdp_expdot::Engine>);
-    let first_payload = &first_req.payload;
-    let (inst, prior_engines, mut memo, prep_built): (
-        Arc<MixedInstance>,
-        Option<EnginePair>,
-        Vec<MemoEntry>,
-        bool,
-    ) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Mixed { inst, pack_engine, cover_engine } => {
-                (inst, Some((pack_engine, cover_engine)), e.memo, false)
-            }
-            Prepared::Packing { .. } => {
-                return error_group(items, "cache entry family mismatch (internal)");
-            }
-        },
-        None => match first_payload {
-            InstancePayload::Mixed(i) => (Arc::clone(i), None, Vec::new(), true),
-            InstancePayload::Packing(_) => {
-                return error_group(items, "packing payload routed to a mixed group (internal)");
-            }
-        },
-    };
-    let inst_ref = Arc::clone(&inst);
-    let solver = {
-        let builder = MixedSolver::builder(&inst_ref).options(build_opts);
-        let built = match prior_engines {
-            Some((pack, cover)) => builder.build_with_engines(pack, cover),
-            None => builder.build(),
-        };
-        match built {
-            Ok(s) => s,
-            Err(e) => return error_group(items, &format!("solver preparation failed: {e}")),
-        }
-    };
-    let mut session = solver.session();
-
-    let mut responses = Vec::with_capacity(items.len());
-    for (pos, (idx, req, params)) in items.iter().enumerate() {
-        let started = Instant::now();
-        let mut stats = ServeStats {
-            queue_wait: started.duration_since(batch_start),
-            prep_reused: !(prep_built && pos == 0),
-            ..ServeStats::default()
-        };
-        let result: Result<ServeResult, String> =
-            if let Some(hit) = memo.iter().find(|m| m.params == *params) {
-                stats.memoized = true;
-                Ok(hit.result.clone())
-            } else {
-                let run = match &req.kind {
-                    RequestKind::Mixed { opts } => {
-                        session.optimize(opts).map(ServeResult::Mixed).map_err(|e| e.to_string())
-                    }
-                    _ => Err("packing request routed to a mixed group (internal)".to_string()),
-                };
-                if let Ok(res) = &run {
-                    if memo.len() < memo_cap {
-                        memo.push(MemoEntry { params: params.clone(), result: res.clone() });
-                    }
-                }
-                run
-            };
-        if let Ok(ServeResult::Mixed(r)) = &result {
-            if !stats.memoized {
-                stats.engine_evals = r.total_engine_evals;
-            }
-        }
-        stats.service = started.elapsed();
-        responses.push((*idx, ServeResponse { id: req.id.clone(), result, stats }));
-    }
-
-    let (pack_engine, cover_engine) = solver.engine_handles();
-    drop(session);
-    let entry = keep_entry.then_some(CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Mixed { inst, pack_engine, cover_engine },
-        memo,
-        bracket: None,
-        last_used: 0,
-    });
-    GroupOutcome { responses, entry, prep_built }
 }

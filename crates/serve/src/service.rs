@@ -13,10 +13,10 @@
 //!    number, and dispatches it to the shard its preparation fingerprint
 //!    routes to ([`crate::shard::shard_of`]).
 //! 2. **Shard workers** (one OS thread per shard) drain their bounded
-//!    queue in arrival order and execute requests against their shard of
-//!    the [`crate::shard::ShardedCache`] (same three reuse tiers as the
-//!    one-shot scheduler: result memo, prepared-engine reuse, certified
-//!    bracket continuation).
+//!    queue in arrival order and run each request through the executor
+//!    the one-shot scheduler uses, against their shard of the
+//!    [`crate::shard::ShardedCache`] (result memo, prepared-engine reuse,
+//!    certified bracket continuation).
 //! 3. The **sequencer** (one thread) re-orders completed responses by
 //!    sequence number and hands them to the caller's sink strictly in
 //!    submission order, regardless of how workers interleave.
@@ -58,17 +58,15 @@
 //! reproducible, which `tests/determinism.rs` pins across pools {1, 4} ×
 //! shard counts {1, 4} and snapshot cold/warm starts.
 
-use crate::cache::{params_key, prep_engine_of, prep_hash, CacheEntry, MemoEntry, Prepared};
-use crate::request::{InstancePayload, RequestKind, ServeRequest};
-use crate::scheduler::{ServeResponse, ServeResult, ServeStats};
+use crate::cache::prep_hash;
+use crate::request::ServeRequest;
+use crate::scheduler::{ServeResponse, ServeStats};
 use crate::shard::ShardedCache;
 use crate::telemetry::{LatencyHistogram, TierCounters};
 use parking_lot::Mutex;
-use psdp_core::{DecisionOptions, MixedOptions, MixedSolver, Solver};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -85,10 +83,6 @@ pub struct ServiceOptions {
     /// Master switch for the fingerprint cache (off = every request is
     /// cold, the uncached baseline).
     pub cache_enabled: bool,
-    /// Fingerprint capacity per shard (deterministic per-shard LRU).
-    pub max_entries_per_shard: usize,
-    /// Memoized results kept per fingerprint.
-    pub memo_per_entry: usize,
     /// Adaptive shed target: when set, the admissible depth of each
     /// shard queue shrinks below `queue_capacity` in proportion to how
     /// far the live p99 service latency exceeds this target (clamped to
@@ -105,8 +99,6 @@ impl Default for ServiceOptions {
             queue_capacity: 1024,
             max_outstanding: 0,
             cache_enabled: true,
-            max_entries_per_shard: 256,
-            memo_per_entry: 64,
             shed_target_p99: None,
         }
     }
@@ -228,7 +220,7 @@ impl Service {
     /// [`Service::load_snapshot`] for warm starts).
     pub fn new(opts: ServiceOptions) -> Self {
         let shards = opts.shards.max(1);
-        Service { opts, cache: ShardedCache::new(shards, opts.max_entries_per_shard) }
+        Service { opts, cache: ShardedCache::new(shards, crate::cache::MAX_ENTRIES) }
     }
 
     /// Number of fingerprints currently cached across all shards.
@@ -289,7 +281,6 @@ impl Service {
         // the caller's pool; tests vary this via `run_with_threads`).
         let pool_width = rayon::current_num_threads();
         let cache_enabled = self.opts.cache_enabled;
-        let memo_cap = self.opts.memo_per_entry;
         let shed_target = self.opts.shed_target_p99;
         let cache = &self.cache;
 
@@ -309,22 +300,12 @@ impl Service {
             let (credits_tx, credits_rx) = mpsc::sync_channel::<()>(outstanding);
 
             let mut shard_txs: Vec<mpsc::SyncSender<ShardJob<C>>> = Vec::with_capacity(shards);
-            for (shard_idx, (depth, _)) in depths.iter().zip(high_water.iter()).enumerate() {
+            for depth in &depths {
                 let (tx, rx) = mpsc::sync_channel::<ShardJob<C>>(queue_cap);
                 shard_txs.push(tx);
                 let results_tx = results_tx.clone();
-                let _ = shard_idx;
                 scope.spawn(move || {
-                    worker_loop(
-                        rx,
-                        results_tx,
-                        cache,
-                        cache_enabled,
-                        memo_cap,
-                        pool_width,
-                        depth,
-                        live_hist,
-                    );
+                    worker_loop(rx, results_tx, cache, cache_enabled, pool_width, depth, live_hist);
                 });
             }
 
@@ -462,13 +443,11 @@ fn shed_allowance(
 
 /// One shard worker: drain the queue in arrival order, execute each
 /// request against the shared sharded cache, send sequenced outcomes.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop<C: Send>(
     rx: mpsc::Receiver<ShardJob<C>>,
     results_tx: mpsc::Sender<Sequenced<C>>,
     cache: &ShardedCache,
     cache_enabled: bool,
-    memo_cap: usize,
     pool_width: usize,
     depth: &AtomicUsize,
     live_hist: &Mutex<LatencyHistogram>,
@@ -480,8 +459,7 @@ fn worker_loop<C: Send>(
     while let Ok(job) = rx.recv() {
         depth.fetch_sub(1, Ordering::SeqCst);
         let started = Instant::now();
-        let queue_wait = started.duration_since(job.admitted_at);
-        let exec = || execute_request(cache, cache_enabled, memo_cap, &job.request);
+        let exec = || execute_request(cache, cache_enabled, &job.request, job.admitted_at);
         // A panic inside one request (a solver-internal bug) must not
         // kill the worker and starve the whole shard: answer with a
         // typed internal error and keep serving.
@@ -489,18 +467,17 @@ fn worker_loop<C: Send>(
             Some(p) => p.install(exec),
             None => exec(),
         }));
-        let (result, mut stats, prep_built) = match run {
-            Ok(out) => out,
-            Err(_) => (
-                Err("request execution panicked (internal)".to_string()),
-                ServeStats::default(),
-                false,
-            ),
-        };
-        stats.queue_wait = queue_wait;
-        stats.service = started.elapsed();
-        live_hist.lock().record(stats.service);
-        let response = ServeResponse { id: job.request.id.clone(), result, stats };
+        let (mut response, prep_built) = run.unwrap_or_else(|_| {
+            let stats = ServeStats {
+                queue_wait: started.duration_since(job.admitted_at),
+                ..ServeStats::default()
+            };
+            let result = Err("request execution panicked (internal)".to_string());
+            (ServeResponse { id: job.request.id.clone(), result, stats }, false)
+        });
+        // Service time covers the cache lookup and re-insert too.
+        response.stats.service = started.elapsed();
+        live_hist.lock().record(response.stats.service);
         let _ = results_tx.send(Sequenced {
             seq: job.seq,
             ctx: job.ctx,
@@ -563,277 +540,33 @@ where
     report
 }
 
-/// Execute one request against the sharded cache: the per-request
-/// analogue of the one-shot scheduler's group execution, with the same
-/// three reuse tiers. Returns `(result, stats, prep_built)`.
+/// Execute one request against its shard of the cache through the shared
+/// executor. Returns the response and whether it built a solver.
 fn execute_request(
     cache: &ShardedCache,
     cache_enabled: bool,
-    memo_cap: usize,
     req: &ServeRequest,
-) -> (Result<ServeResult, String>, ServeStats, bool) {
-    if !req.payload_matches_kind() {
-        return (
-            Err(format!("request kind `{}` does not match its instance payload", req.kind.name())),
-            ServeStats::default(),
-            false,
-        );
-    }
+    admitted_at: Instant,
+) -> (ServeResponse, bool) {
     let hash = prep_hash(req);
-    let params = params_key(&req.kind);
     let entry = if cache_enabled { cache.take(hash, req) } else { None };
-    let (result, stats, entry, prep_built) = match &req.payload {
-        InstancePayload::Packing(_) => run_packing_request(req, hash, &params, entry, memo_cap),
-        InstancePayload::Mixed(_) => run_mixed_request(req, hash, &params, entry, memo_cap),
-    };
-    if cache_enabled {
-        if let Some(entry) = entry {
-            cache.insert(entry);
-        }
+    let out = crate::exec::execute(hash, entry, &[req], admitted_at);
+    if let Some(entry) = out.entry.filter(|_| cache_enabled) {
+        cache.insert(entry);
     }
-    (result, stats, prep_built)
-}
-
-/// Memo lookup shared by both families.
-fn memo_hit(memo: &[MemoEntry], params: &str) -> Option<ServeResult> {
-    memo.iter().find(|m| m.params == params).map(|m| m.result.clone())
-}
-
-#[allow(clippy::type_complexity)]
-fn run_packing_request(
-    req: &ServeRequest,
-    hash: u64,
-    params: &str,
-    entry: Option<CacheEntry>,
-    memo_cap: usize,
-) -> (Result<ServeResult, String>, ServeStats, Option<CacheEntry>, bool) {
-    let (engine_kind, seed) = prep_engine_of(&req.kind);
-    let build_opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-    let (inst, prior_engine, mut memo, mut bracket) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Packing { inst, engine } => (inst, Some(engine), e.memo, e.bracket),
-            Prepared::Mixed { .. } => {
-                return (
-                    Err("cache entry family mismatch (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-        None => match &req.payload {
-            InstancePayload::Packing(i) => (Arc::clone(i), None, Vec::new(), None),
-            InstancePayload::Mixed(_) => {
-                return (
-                    Err("mixed payload routed to a packing run (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-    };
-    let prep_built = prior_engine.is_none();
-    let mut stats = ServeStats { prep_reused: !prep_built, ..ServeStats::default() };
-
-    // Tier 1 first: a memo hit pays neither solver assembly nor a solve.
-    if let Some(hit) = memo_hit(&memo, params) {
-        stats.memoized = true;
-        let entry = CacheEntry {
-            hash,
-            engine_kind,
-            seed,
-            prepared: Prepared::Packing {
-                inst,
-                engine: match prior_engine {
-                    Some(e) => e,
-                    // A memo hit without prepared state cannot happen (the
-                    // memo lives inside the entry), but rebuild if it does.
-                    None => {
-                        return (Ok(hit), stats, None, false);
-                    }
-                },
-            },
-            memo,
-            bracket,
-            last_used: 0,
-        };
-        return (Ok(hit), stats, Some(entry), false);
-    }
-
-    let inst_ref = Arc::clone(&inst);
-    let builder = Solver::builder(&inst_ref).options(build_opts);
-    let solver = match match prior_engine {
-        Some(engine) => builder.build_with_engine(engine),
-        None => builder.build(),
-    } {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                Err(format!("solver preparation failed: {e}")),
-                ServeStats::default(),
-                None,
-                false,
-            );
-        }
-    };
-    let mut session = solver.session();
-    let result: Result<ServeResult, String> = match &req.kind {
-        RequestKind::Decision { threshold, opts } => session
-            .solve_with(*threshold, opts)
-            .map(ServeResult::Decision)
-            .map_err(|e| e.to_string()),
-        RequestKind::Optimize { opts } => {
-            let mut o = *opts;
-            if let Some((prior_params, lo, hi)) = &bracket {
-                if prior_params != params {
-                    // Tier 3: continue from the prior certified bracket.
-                    o.initial_bracket = Some(match o.initial_bracket {
-                        Some((l, h)) => (l.max(*lo), h.min(*hi)),
-                        None => (*lo, *hi),
-                    });
-                    stats.bracket_injected = true;
-                }
-            }
-            session
-                .optimize(&o)
-                .map(|r| {
-                    bracket = Some((params.to_string(), r.value_lower, r.value_upper));
-                    ServeResult::Optimize(r)
-                })
-                .map_err(|e| e.to_string())
-        }
-        RequestKind::Mixed { .. } => {
-            Err("mixed request routed to a packing run (internal)".to_string())
-        }
-    };
-    if let Ok(res) = &result {
-        let (evals, replayed) = match res {
-            ServeResult::Decision(d) => (d.stats.engine_evals, d.stats.replayed),
-            ServeResult::Optimize(r) => (r.total_engine_evals, r.total_replayed),
-            ServeResult::Mixed(_) => (0, 0),
-        };
-        stats.engine_evals = evals;
-        stats.replayed = replayed;
-        if memo.len() < memo_cap {
-            memo.push(MemoEntry { params: params.to_string(), result: res.clone() });
-        }
-    }
-    let engine = solver.engine_handle();
-    drop(session);
-    let entry = CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Packing { inst, engine },
-        memo,
-        bracket,
-        last_used: 0,
-    };
-    (result, stats, Some(entry), prep_built)
-}
-
-#[allow(clippy::type_complexity)]
-fn run_mixed_request(
-    req: &ServeRequest,
-    hash: u64,
-    params: &str,
-    entry: Option<CacheEntry>,
-    memo_cap: usize,
-) -> (Result<ServeResult, String>, ServeStats, Option<CacheEntry>, bool) {
-    let (engine_kind, seed) = prep_engine_of(&req.kind);
-    let build_opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-    let (inst, prior_engines, mut memo) = match entry {
-        Some(e) => match e.prepared {
-            Prepared::Mixed { inst, pack_engine, cover_engine } => {
-                (inst, Some((pack_engine, cover_engine)), e.memo)
-            }
-            Prepared::Packing { .. } => {
-                return (
-                    Err("cache entry family mismatch (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-        None => match &req.payload {
-            InstancePayload::Mixed(i) => (Arc::clone(i), None, Vec::new()),
-            InstancePayload::Packing(_) => {
-                return (
-                    Err("packing payload routed to a mixed run (internal)".to_string()),
-                    ServeStats::default(),
-                    None,
-                    false,
-                );
-            }
-        },
-    };
-    let prep_built = prior_engines.is_none();
-    let mut stats = ServeStats { prep_reused: !prep_built, ..ServeStats::default() };
-
-    if let Some(hit) = memo_hit(&memo, params) {
-        stats.memoized = true;
-        let entry = prior_engines.map(|(pack_engine, cover_engine)| CacheEntry {
-            hash,
-            engine_kind,
-            seed,
-            prepared: Prepared::Mixed { inst, pack_engine, cover_engine },
-            memo,
-            bracket: None,
-            last_used: 0,
-        });
-        return (Ok(hit), stats, entry, false);
-    }
-
-    let inst_ref = Arc::clone(&inst);
-    let builder = MixedSolver::builder(&inst_ref).options(build_opts);
-    let solver = match match prior_engines {
-        Some((pack, cover)) => builder.build_with_engines(pack, cover),
-        None => builder.build(),
-    } {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                Err(format!("solver preparation failed: {e}")),
-                ServeStats::default(),
-                None,
-                false,
-            );
-        }
-    };
-    let mut session = solver.session();
-    let result: Result<ServeResult, String> = match &req.kind {
-        RequestKind::Mixed { opts } => {
-            session.optimize(opts).map(ServeResult::Mixed).map_err(|e| e.to_string())
-        }
-        _ => Err("packing request routed to a mixed run (internal)".to_string()),
-    };
-    if let Ok(res) = &result {
-        if let ServeResult::Mixed(r) = res {
-            stats.engine_evals = r.total_engine_evals;
-        }
-        if memo.len() < memo_cap {
-            memo.push(MemoEntry { params: params.to_string(), result: res.clone() });
-        }
-    }
-    let (pack_engine, cover_engine) = solver.engine_handles();
-    drop(session);
-    let entry = CacheEntry {
-        hash,
-        engine_kind,
-        seed,
-        prepared: Prepared::Mixed { inst, pack_engine, cover_engine },
-        memo,
-        bracket: None,
-        last_used: 0,
-    };
-    (result, stats, Some(entry), prep_built)
+    let response = out.responses.into_iter().next().unwrap_or_else(|| ServeResponse {
+        id: req.id.clone(),
+        result: Err("request was not answered (internal)".to_string()),
+        stats: ServeStats::default(),
+    });
+    (response, out.prep_built)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{InstancePayload, RequestKind};
+    use crate::scheduler::ServeResult;
     use psdp_core::{
         ApproxOptions, DecisionOptions, MixedApproxOptions, MixedInstance, PackingInstance,
     };
@@ -954,6 +687,43 @@ mod tests {
         assert!(matches!(got[2].1, StreamOutcome::Response(_)));
         assert_eq!(report.rejected, 1);
         assert_eq!(report.executed, 2);
+    }
+
+    #[test]
+    fn bracket_continuation_through_the_stream() {
+        // Reuse tier 3 on the streaming path: a tighter `optimize` on the
+        // same fingerprint starts inside the first run's certified bracket.
+        let pack = diag_inst(&[&[2.0, 0.0], &[0.0, 4.0]]);
+        let requests = vec![
+            ServeRequest::optimize("a", Arc::clone(&pack), ApproxOptions::serving(0.2)),
+            ServeRequest::optimize("b", Arc::clone(&pack), ApproxOptions::serving(0.05)),
+        ];
+        let (got, report, _) = run_service(ServiceOptions::default(), requests);
+        let optimize = |out: &StreamOutcome| match out {
+            StreamOutcome::Response(r) => match &r.result {
+                Ok(ServeResult::Optimize(o)) => (o.clone(), r.stats.clone()),
+                other => panic!("bad optimize response: {other:?}"),
+            },
+            _ => panic!("expected a response"),
+        };
+        let (first, _) = optimize(&got[0].1);
+        let (warm, stats) = optimize(&got[1].1);
+        assert!(stats.bracket_injected && stats.prep_reused && !stats.memoized);
+        assert_eq!(report.tiers.bracket_injections, 1);
+        assert!(warm.converged);
+        assert!(warm.value_lower >= first.value_lower - 1e-12);
+        assert!(warm.value_upper <= first.value_upper + 1e-12);
+        assert!(warm.value_lower <= 0.75 + 1e-9 && warm.value_upper >= 0.75 - 1e-9);
+
+        let cold = vec![ServeRequest::optimize("c", pack, ApproxOptions::serving(0.05))];
+        let (cold_got, _, _) = run_service(ServiceOptions::default(), cold);
+        let (cold, _) = optimize(&cold_got[0].1);
+        assert!(
+            warm.decision_calls <= cold.decision_calls,
+            "warm {} vs cold {}",
+            warm.decision_calls,
+            cold.decision_calls
+        );
     }
 
     #[test]

@@ -54,11 +54,11 @@
 //! a delta or append — so old garbage cannot accumulate across rotations.
 
 use crate::cache::{family_tag, prep_hash_parts, CacheEntry, Prepared};
+use crate::request::InstancePayload;
 use crate::shard::ShardedCache;
 use psdp_core::{
     read_instance, read_instance_bin, read_mixed_instance, read_mixed_instance_bin, write_instance,
-    write_instance_bin, write_mixed_instance, write_mixed_instance_bin, DecisionOptions,
-    MixedOptions, MixedSolver, Solver,
+    write_instance_bin, write_mixed_instance, write_mixed_instance_bin,
 };
 use psdp_expdot::EngineKind;
 use std::fmt;
@@ -370,21 +370,15 @@ pub(crate) fn load_snapshot(text: &str) -> Result<Vec<CacheEntry>, SnapshotError
     Ok(entries)
 }
 
-/// The decoded instance payload of one snapshot entry, plus its
-/// structural content hash.
-enum LoadedInstance {
-    Packing(Arc<psdp_core::PackingInstance>, u64),
-    Mixed(Arc<psdp_core::MixedInstance>, u64),
-}
-
-/// Decode and canonicality-check one entry's payload.
+/// Decode and canonicality-check one entry's payload; returns the
+/// instance with its structural content hash.
 fn load_payload(
     family: &str,
     fam_no: usize,
     kind: &str,
     text_payload: Option<String>,
     bin_payload: Option<Vec<u8>>,
-) -> Result<LoadedInstance, SnapshotError> {
+) -> Result<(InstancePayload, u64), SnapshotError> {
     let not_canonical = || SnapshotError::Verify {
         msg: "payload is not canonical (read→write is not a byte fixpoint)".to_string(),
     };
@@ -397,14 +391,14 @@ fn load_payload(
                 return Err(not_canonical());
             }
             let hash = psdp_core::packing_content_hash(&inst);
-            Ok(LoadedInstance::Packing(Arc::new(inst), hash))
+            Ok((InstancePayload::Packing(Arc::new(inst)), hash))
         }
         ("packing", "bin", _, Some(bytes)) => {
             let (inst, hash) = read_instance_bin(&bytes).map_err(rejected)?;
             if write_instance_bin(&inst) != bytes {
                 return Err(not_canonical());
             }
-            Ok(LoadedInstance::Packing(Arc::new(inst), hash))
+            Ok((InstancePayload::Packing(Arc::new(inst)), hash))
         }
         ("mixed", "text", Some(text), _) => {
             let inst = read_mixed_instance(&text).map_err(rejected)?;
@@ -412,14 +406,14 @@ fn load_payload(
                 return Err(not_canonical());
             }
             let hash = psdp_core::mixed_content_hash(&inst);
-            Ok(LoadedInstance::Mixed(Arc::new(inst), hash))
+            Ok((InstancePayload::Mixed(Arc::new(inst)), hash))
         }
         ("mixed", "bin", _, Some(bytes)) => {
             let (inst, hash) = read_mixed_instance_bin(&bytes).map_err(rejected)?;
             if write_mixed_instance_bin(&inst) != bytes {
                 return Err(not_canonical());
             }
-            Ok(LoadedInstance::Mixed(Arc::new(inst), hash))
+            Ok((InstancePayload::Mixed(Arc::new(inst)), hash))
         }
         _ => Err(SnapshotError::Format {
             line: fam_no,
@@ -495,34 +489,16 @@ fn load_entry(cur: &mut Cursor<'_>) -> Result<CacheEntry, SnapshotError> {
 
     let (text_payload, bin_payload) =
         if kind == "text" { (Some(body), None) } else { (None, Some(hex_decode(&body, pay_no)?)) };
-    let loaded = load_payload(&family, fam_no, kind, text_payload, bin_payload)?;
+    let (payload, content_hash) = load_payload(&family, fam_no, kind, text_payload, bin_payload)?;
 
     // Rebuild + verify: the prep hash is recomputed from the rebuilt
     // inputs exactly as `prep_hash` would compute it for a live request,
     // then checked against the stored fingerprint — a tampered or
     // bit-rotted entry cannot alias a different fingerprint.
-    let (prepared, content_hash) = match loaded {
-        LoadedInstance::Packing(inst, content_hash) => {
-            let opts = DecisionOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-            let solver = Solver::builder(&inst)
-                .options(opts)
-                .build()
-                .map_err(|e| SnapshotError::Rebuild { msg: e.to_string() })?;
-            let engine = solver.engine_handle();
-            (Prepared::Packing { inst, engine }, content_hash)
-        }
-        LoadedInstance::Mixed(inst, content_hash) => {
-            let opts = MixedOptions::practical(0.1).with_engine(engine_kind).with_seed(seed);
-            let solver = MixedSolver::builder(&inst)
-                .options(opts)
-                .build()
-                .map_err(|e| SnapshotError::Rebuild { msg: e.to_string() })?;
-            let (pack_engine, cover_engine) = solver.engine_handles();
-            (Prepared::Mixed { inst, pack_engine, cover_engine }, content_hash)
-        }
-    };
-    let computed =
-        prep_hash_parts(family_tag(&prepared.payload()), engine_kind, seed, content_hash);
+    let prepared = Prepared::solver(&payload, None, engine_kind, seed)
+        .map_err(|msg| SnapshotError::Rebuild { msg })?
+        .prepared();
+    let computed = prep_hash_parts(family_tag(&payload), engine_kind, seed, content_hash);
     if computed != hash {
         return Err(SnapshotError::Verify {
             msg: format!("fingerprint hash mismatch (stored {hash:016x})"),

@@ -274,25 +274,6 @@ fn serve_responses_bitwise_across_submission_orders() {
     assert_eq!(keyed(&forward), keyed(&inter), "interleave changed a response");
 }
 
-/// The scheduler's bounded concurrency knob is wall-clock-only: any
-/// `max_in_flight` must reproduce the stream bitwise.
-#[test]
-fn serve_responses_bitwise_across_in_flight_bounds() {
-    let input = serve_batch_jsonl();
-    let run_bounded = |n: usize| {
-        let args = psdp_cli::args::Args::parse(&[
-            "serve".to_string(),
-            "--max-in-flight".to_string(),
-            n.to_string(),
-        ])
-        .unwrap();
-        psdp_cli::serve::serve_on_input(&args, &input).expect("serve runs").stdout
-    };
-    let one = run_bounded(1);
-    let four = run_bounded(4);
-    assert_eq!(one, four, "max-in-flight changed the stream");
-}
-
 fn run_listen(extra: &[&str], input: &str) -> String {
     let mut argv = vec!["serve".to_string(), "--listen".to_string()];
     argv.extend(extra.iter().map(|s| s.to_string()));

@@ -128,6 +128,18 @@ fn serve_overloaded_schema() {
     assert_schema("serve_overloaded", &psdp_cli::jsonfmt::overloaded_line("r1", None));
 }
 
+/// Every serve error line is rendered by `jsonfmt::error_line`, so the
+/// `serve_error` golden pins both id variants: a named request and one
+/// too broken to name itself (`"id":null`, which the structural diff
+/// treats as a wildcard).
+#[test]
+fn serve_error_line_schema() {
+    // Named variant last: under PSDP_UPDATE_GOLDENS the final write
+    // becomes the golden, and it must keep the string id.
+    assert_schema("serve_error", &psdp_cli::jsonfmt::error_line(None, "bad json"));
+    assert_schema("serve_error", &psdp_cli::jsonfmt::error_line(Some("r1"), "bad json"));
+}
+
 /// The serve schemas must be supersets of the one-shot schemas: same
 /// payload fields plus `id` and `serve` (and `wall_ms` forced to null) —
 /// pinned here structurally so the two paths cannot drift apart.

@@ -98,9 +98,12 @@ fn malformed_corpus_errors_in_place_in_both_modes() {
     assert!(summary.contains("listen:"), "{summary}");
 }
 
-/// A deliberately tiny queue may answer `overloaded`, but every request
-/// is answered exactly once, in submission order, and overload lines are
-/// typed JSONL — never silence, never unbounded buffering.
+/// A deliberately tiny queue never loses or reorders a request: every
+/// request is answered exactly once, in submission order, either with its
+/// response or with a typed `overloaded` line — never silence, never
+/// unbounded buffering. (Piped stdin caps in-flight work at one queue's
+/// capacity, so this stream in fact blocks at admission and is answered
+/// without sheds; the shed paths are pinned by the service's unit tests.)
 #[test]
 fn backpressure_sheds_load_with_typed_lines() {
     let batch = psdp_workloads::mixed_request_stream(&psdp_workloads::MixedStreamSpec {
