@@ -7,12 +7,11 @@
 use crate::args::Args;
 use crate::jsonfmt::{json_str, mixed_payload, optimize_payload, solve_payload};
 use psdp_core::{
-    binary_family, is_binary_instance, read_instance, read_instance_bin, read_mixed_instance,
-    read_mixed_instance_bin, verify_dual, verify_mixed_feasible, verify_mixed_infeasible,
-    verify_primal, write_instance, write_instance_bin, write_mixed_instance,
-    write_mixed_instance_bin, ApproxOptions, ConstantsMode, DecisionOptions, EngineKind,
-    MixedApproxOptions, MixedInstance, MixedSolver, Outcome, PackingInstance, Solver,
-    BIN_FAMILY_MIXED,
+    binary_family, certify_decision, certify_mixed, certify_packing, is_binary_instance,
+    read_instance, read_instance_bin, read_mixed_instance, read_mixed_instance_bin, write_instance,
+    write_instance_bin, write_mixed_instance, write_mixed_instance_bin, ApproxOptions,
+    ConstantsMode, DecisionOptions, EngineKind, MixedApproxOptions, MixedInstance, MixedSolver,
+    Outcome, PackingInstance, Solver, BIN_FAMILY_MIXED,
 };
 use psdp_workloads::{
     edge_packing, figure1_instance, gnp, mixed_edge_cover, mixed_lp_diagonal, random_factorized,
@@ -317,19 +316,23 @@ pub fn solve(args: &Args) -> Result<String, String> {
         "iterations {}  (cap {})  exit {:?}  engine {}\n",
         res.stats.iterations, res.stats.iteration_cap, res.stats.exit, res.stats.engine
     ));
+    let cert = certify_decision(&inst, &res);
     match &res.outcome {
         Outcome::Dual(d) => {
-            let c = verify_dual(&inst, d, 1e-8);
+            let c = cert.dual();
             out.push_str(&format!(
                 "DUAL side: value {:.6}, λmax(Σ xᵢAᵢ) = {:.8}, verified feasible: {}\n",
-                d.value, c.lambda_max, c.feasible
+                d.value,
+                c.map_or(f64::NAN, |c| c.lambda_max),
+                c.is_some_and(|c| c.feasible)
             ));
         }
         Outcome::Primal(p) => {
-            let c = verify_primal(&inst, p, 1e-5);
             out.push_str(&format!(
                 "PRIMAL side: min_i Aᵢ•Y = {:.6} over {} averaged rounds, verified: {}\n",
-                p.min_dot, p.rounds_averaged, c.feasible
+                p.min_dot,
+                p.rounds_averaged,
+                cert.primal().is_some_and(|c| c.feasible)
             ));
         }
     }
@@ -378,8 +381,7 @@ pub fn optimize(args: &Args) -> Result<String, String> {
         r.total_replayed,
         r.converged
     ));
-    if let Some(d) = &r.best_dual {
-        let c = verify_dual(&inst, d, 1e-8);
+    if let (Some(d), Some(c)) = (&r.best_dual, certify_packing(&inst, &r).best_dual) {
         out.push_str(&format!(
             "best dual: value {:.6}, verified feasible: {}\n",
             d.value, c.feasible
@@ -419,19 +421,14 @@ pub fn mixed(args: &Args) -> Result<String, String> {
     let r = session.optimize(&approx).map_err(|e| e.to_string())?;
 
     if args.bool_flag("json") {
-        // `mixed_payload` performs the certificate re-verification itself.
+        // `mixed_payload` certifies the report itself.
         return Ok(format!(
             "{{\"command\":\"mixed\",{}}}\n",
             mixed_payload(&json_str(path), &inst, &r, true),
         ));
     }
 
-    let point_cert = r
-        .best_point
-        .as_ref()
-        .map(|p| (p, verify_mixed_feasible(&inst, p, r.threshold_lower * (1.0 - 1e-9), 1e-7)));
-    let witness_cert =
-        r.infeasibility_witness.as_ref().map(|c| (c, verify_mixed_infeasible(&inst, c, 1e-7)));
+    let cert = certify_mixed(&inst, &r);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -444,13 +441,13 @@ pub fn mixed(args: &Args) -> Result<String, String> {
         r.total_engine_evals,
         r.converged
     ));
-    if let Some((p, c)) = &point_cert {
+    if let (Some(p), Some(c)) = (&r.best_point, &cert.best_point) {
         out.push_str(&format!(
             "best point: pack λmax {:.6}, cover λmin {:.6}, verified feasible: {}\n",
             p.pack_lambda_max, p.cover_lambda_min, c.feasible
         ));
     }
-    if let Some((w, c)) = &witness_cert {
+    if let (Some(w), Some(c)) = (&r.infeasibility_witness, &cert.infeasibility) {
         out.push_str(&format!(
             "infeasibility witness at σ = {:.6}: margin {:.4}, refutes σ* > {:.6}, verified: {}\n",
             w.sigma, c.margin, c.refuted_threshold, c.valid

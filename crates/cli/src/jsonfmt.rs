@@ -8,8 +8,9 @@
 //! schema unchanged) while the one-shot commands keep real timings.
 
 use psdp_core::{
-    verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal, DecisionResult,
-    MixedInstance, MixedReport, Outcome, PackingInstance, PackingReport,
+    certify_decision, certify_mixed, certify_packing, DecisionCertificate, DecisionResult,
+    MixedInstance, MixedReport, MixedReportCertificate, Outcome, PackingInstance, PackingReport,
+    PackingReportCertificate,
 };
 
 /// Minimal JSON string escaping (our strings are ASCII identifiers and
@@ -94,38 +95,48 @@ pub fn json_stats(s: &psdp_core::SolveStats, include_wall: bool) -> String {
 
 /// Body fields of a `solve` response (no surrounding braces, no
 /// `command`/`id` — the caller frames them): `"file":…,"outcome":…,
-/// "certificate":…,"stats":…`.
+/// "certificate":…,"stats":…`. Certifies `res` against `inst`, then
+/// formats it with [`solve_body`].
 pub fn solve_payload(
     file_json: &str,
     inst: &PackingInstance,
     res: &DecisionResult,
     include_wall: bool,
 ) -> String {
+    solve_body(file_json, res, &certify_decision(inst, res), include_wall)
+}
+
+/// Format a `solve` response body from a result and its certificate (see
+/// [`solve_payload`]). A certificate for the other side than the outcome
+/// does not certify it, and renders as not feasible.
+pub fn solve_body(
+    file_json: &str,
+    res: &DecisionResult,
+    cert: &DecisionCertificate,
+    include_wall: bool,
+) -> String {
     let (side, cert) = match &res.outcome {
         Outcome::Dual(d) => {
-            let c = verify_dual(inst, d, 1e-8);
+            let c = cert.dual();
             (
                 "dual",
                 format!(
                     "{{\"value\":{},\"lambda_max\":{},\"feasible\":{}}}",
                     json_f64(d.value),
-                    json_f64(c.lambda_max),
-                    c.feasible
+                    json_f64(c.map_or(f64::NAN, |c| c.lambda_max)),
+                    c.is_some_and(|c| c.feasible)
                 ),
             )
         }
-        Outcome::Primal(p) => {
-            let c = verify_primal(inst, p, 1e-5);
-            (
-                "primal",
-                format!(
-                    "{{\"min_dot\":{},\"rounds_averaged\":{},\"feasible\":{}}}",
-                    json_f64(p.min_dot),
-                    p.rounds_averaged,
-                    c.feasible
-                ),
-            )
-        }
+        Outcome::Primal(p) => (
+            "primal",
+            format!(
+                "{{\"min_dot\":{},\"rounds_averaged\":{},\"feasible\":{}}}",
+                json_f64(p.min_dot),
+                p.rounds_averaged,
+                cert.primal().is_some_and(|c| c.feasible)
+            ),
+        ),
     };
     format!(
         "\"file\":{},\"outcome\":{},\"certificate\":{},\"stats\":{}",
@@ -137,17 +148,29 @@ pub fn solve_payload(
 }
 
 /// Body fields of an `optimize` response (see [`solve_payload`]).
+/// Certifies `r` against `inst`, then formats it with [`optimize_body`].
 pub fn optimize_payload(
     file_json: &str,
     inst: &PackingInstance,
     r: &PackingReport,
     include_wall: bool,
 ) -> String {
+    optimize_body(file_json, r, &certify_packing(inst, r), include_wall)
+}
+
+/// Format an `optimize` response body from a report and its certificate.
+pub fn optimize_body(
+    file_json: &str,
+    r: &PackingReport,
+    cert: &PackingReportCertificate,
+    include_wall: bool,
+) -> String {
     let dual = match &r.best_dual {
-        Some(d) => {
-            let c = verify_dual(inst, d, 1e-8);
-            format!("{{\"value\":{},\"feasible\":{}}}", json_f64(d.value), c.feasible)
-        }
+        Some(d) => format!(
+            "{{\"value\":{},\"feasible\":{}}}",
+            json_f64(d.value),
+            cert.best_dual.is_some_and(|c| c.feasible)
+        ),
         None => "null".to_string(),
     };
     let brackets: Vec<String> = r
@@ -180,38 +203,44 @@ pub fn optimize_payload(
     )
 }
 
-/// Body fields of a `mixed` response (see [`solve_payload`]).
+/// Body fields of a `mixed` response (see [`solve_payload`]). Certifies
+/// `r` against `inst`, then formats it with [`mixed_body`].
 pub fn mixed_payload(
     file_json: &str,
     inst: &MixedInstance,
     r: &MixedReport,
     include_wall: bool,
 ) -> String {
+    mixed_body(file_json, r, &certify_mixed(inst, r), include_wall)
+}
+
+/// Format a `mixed` response body from a report and its certificate.
+pub fn mixed_body(
+    file_json: &str,
+    r: &MixedReport,
+    cert: &MixedReportCertificate,
+    include_wall: bool,
+) -> String {
     let point = match &r.best_point {
-        Some(p) => {
-            let c = verify_mixed_feasible(inst, p, r.threshold_lower * (1.0 - 1e-9), 1e-7);
-            format!(
-                "{{\"pack_lambda_max\":{},\"cover_lambda_min\":{},\"verified\":{}}}",
-                json_f64(p.pack_lambda_max),
-                json_f64(p.cover_lambda_min),
-                c.feasible
-            )
-        }
+        Some(p) => format!(
+            "{{\"pack_lambda_max\":{},\"cover_lambda_min\":{},\"verified\":{}}}",
+            json_f64(p.pack_lambda_max),
+            json_f64(p.cover_lambda_min),
+            cert.best_point.is_some_and(|c| c.feasible)
+        ),
         None => "null".to_string(),
     };
-    let witness = match &r.infeasibility_witness {
-        Some(w) => {
-            let c = verify_mixed_infeasible(inst, w, 1e-7);
-            format!(
-                "{{\"sigma\":{},\"margin\":{},\"refuted_threshold\":{},\"matrix_checked\":{},\"verified\":{}}}",
-                json_f64(w.sigma),
-                json_f64(c.margin),
-                json_f64(c.refuted_threshold),
-                c.matrix_checked,
-                c.valid
-            )
-        }
-        None => "null".to_string(),
+    let witness = match (&r.infeasibility_witness, &cert.infeasibility) {
+        (Some(w), Some(c)) => format!(
+            "{{\"sigma\":{},\"margin\":{},\"refuted_threshold\":{},\"matrix_checked\":{},\"verified\":{}}}",
+            json_f64(w.sigma),
+            json_f64(c.margin),
+            json_f64(c.refuted_threshold),
+            c.matrix_checked,
+            c.valid
+        ),
+        // A witness is only rendered with the certificate that checked it.
+        _ => "null".to_string(),
     };
     let brackets: Vec<String> = r
         .brackets

@@ -39,7 +39,7 @@
 
 use crate::args::Args;
 use crate::commands::{format_of, Format};
-use crate::jsonfmt::{error_line, json_str, mixed_payload, optimize_payload, solve_payload};
+use crate::jsonfmt::{error_line, json_str, mixed_body, optimize_body, solve_body};
 use psdp_core::{
     fnv1a, is_binary_instance, mixed_content_hash, packing_content_hash, read_instance,
     read_instance_bin, read_mixed_instance, read_mixed_instance_bin, ApproxOptions, ConstantsMode,
@@ -192,8 +192,9 @@ fn cache_flag(args: &Args) -> Result<bool, String> {
 /// Caller context carried with each stream item: what its outcome needs
 /// to render itself.
 enum LineCtx {
-    /// A parsed request (rendering needs its payload and `file` field).
-    Request(ParsedLine),
+    /// A parsed request: its `file` field, `"path"` (JSON-escaped) or
+    /// `null` for inline instances.
+    Request { file_json: String },
     /// An admission-stage error, keyed by the best-effort request id.
     Error { id: Option<String> },
 }
@@ -258,7 +259,10 @@ fn next_item(reader: &mut impl BufRead, state: &mut StreamState) -> Option<Strea
             ctx: LineCtx::Error { id: Some(p.request.id) },
         });
     }
-    Some(StreamItem::Execute { request: p.request.clone(), ctx: LineCtx::Request(p) })
+    Some(StreamItem::Execute {
+        request: p.request,
+        ctx: LineCtx::Request { file_json: p.file_json },
+    })
 }
 
 /// One item from the bounded request reader: a JSONL line or a
@@ -772,11 +776,11 @@ fn render_outcome(ctx: &LineCtx, outcome: &StreamOutcome) -> String {
     match outcome {
         StreamOutcome::Rejected { error } => match ctx {
             LineCtx::Error { id } => error_line(id.as_deref(), error),
-            LineCtx::Request(_) => error_line(None, error),
+            LineCtx::Request { .. } => error_line(None, error),
         },
         StreamOutcome::Overloaded { id, shard } => crate::jsonfmt::overloaded_line(id, *shard),
         StreamOutcome::Response(resp) => match ctx {
-            LineCtx::Request(p) => render_response(p, resp),
+            LineCtx::Request { file_json } => render_response(file_json, resp),
             LineCtx::Error { id } => {
                 error_line(id.as_deref(), "response without request context (internal)")
             }
@@ -905,45 +909,22 @@ fn serve_stats_json(s: &ServeStats) -> String {
 }
 
 /// Render one response line (reusing the one-shot `--json` schemas; see
-/// the module docs for the determinism contract). Family mismatches
-/// between result and payload cannot happen by construction, but render as
-/// in-place error lines rather than panics if they ever do.
-fn render_response(p: &ParsedLine, resp: &ServeResponse) -> String {
+/// the module docs for the determinism contract). Formatting only: every
+/// result arrives with the certificate the executor computed for it.
+fn render_response(file_json: &str, resp: &ServeResponse) -> String {
     let id_json = json_str(&resp.id);
-    let internal = |msg: &str| error_line(Some(&resp.id), &format!("{msg} (internal)"));
-    match &resp.result {
-        Err(msg) => error_line(Some(&resp.id), msg),
-        Ok(ServeResult::Decision(d)) => {
-            let psdp_serve::InstancePayload::Packing(inst) = &p.request.payload else {
-                return internal("decision result with mixed payload");
-            };
-            format!(
-                "{{\"id\":{id_json},\"command\":\"solve\",{},\"serve\":{}}}\n",
-                solve_payload(&p.file_json, inst, d, false),
-                serve_stats_json(&resp.stats),
-            )
+    let (command, body) = match &resp.result {
+        Err(msg) => return error_line(Some(&resp.id), msg),
+        Ok(ServeResult::Decision(d, cert)) => ("solve", solve_body(file_json, d, cert, false)),
+        Ok(ServeResult::Optimize(r, cert)) => {
+            ("optimize", optimize_body(file_json, r, cert, false))
         }
-        Ok(ServeResult::Optimize(r)) => {
-            let psdp_serve::InstancePayload::Packing(inst) = &p.request.payload else {
-                return internal("optimize result with mixed payload");
-            };
-            format!(
-                "{{\"id\":{id_json},\"command\":\"optimize\",{},\"serve\":{}}}\n",
-                optimize_payload(&p.file_json, inst, r, false),
-                serve_stats_json(&resp.stats),
-            )
-        }
-        Ok(ServeResult::Mixed(r)) => {
-            let psdp_serve::InstancePayload::Mixed(inst) = &p.request.payload else {
-                return internal("mixed result with packing payload");
-            };
-            format!(
-                "{{\"id\":{id_json},\"command\":\"mixed\",{},\"serve\":{}}}\n",
-                mixed_payload(&p.file_json, inst, r, false),
-                serve_stats_json(&resp.stats),
-            )
-        }
-    }
+        Ok(ServeResult::Mixed(r, cert)) => ("mixed", mixed_body(file_json, r, cert, false)),
+    };
+    format!(
+        "{{\"id\":{id_json},\"command\":\"{command}\",{body},\"serve\":{}}}\n",
+        serve_stats_json(&resp.stats),
+    )
 }
 
 /// Keys accepted per command (typo guard, mirroring `Args::ensure_known`).

@@ -71,6 +71,8 @@ pub use solver::{
 };
 pub use stats::{BracketStats, SolveStats};
 pub use verify::{
-    verify_dual, verify_mixed_feasible, verify_mixed_infeasible, verify_primal, DualCertificate,
-    MixedFeasibleCertificate, MixedInfeasibleCertificate, PrimalCertificate,
+    certify_decision, certify_mixed, certify_packing, verify_dual, verify_mixed_feasible,
+    verify_mixed_infeasible, verify_primal, DecisionCertificate, DualCertificate,
+    MixedFeasibleCertificate, MixedInfeasibleCertificate, MixedReportCertificate,
+    PackingReportCertificate, PrimalCertificate,
 };

@@ -4,10 +4,44 @@
 //! with exact (eigensolver-backed) linear algebra, independent of which
 //! engine or constants mode produced it. The experiments report these
 //! certificates, so a buggy fast path cannot silently inflate results.
+//!
+//! [`certify_decision`], [`certify_packing`] and [`certify_mixed`] are the
+//! one certification entry point for whole solver results, at the named
+//! tolerances below: the one-shot `psdp solve|optimize|mixed` commands and
+//! the serving executor both call them, so a certificate means the same
+//! thing on every surface.
 
+use crate::approx::PackingReport;
+use crate::decision::DecisionResult;
 use crate::instance::{MixedInstance, PackingInstance};
-use crate::solution::{DualSolution, MixedCertificate, MixedFeasible, PrimalSolution};
+use crate::mixed::MixedReport;
+use crate::solution::{DualSolution, MixedCertificate, MixedFeasible, Outcome, PrimalSolution};
 use psdp_linalg::{sym_eigen, vecops};
+
+/// Tolerance a dual (packing) solution is certified at: `λmax ≤ 1 + DUAL_TOL`.
+pub const DUAL_TOL: f64 = 1e-8;
+
+/// Tolerance a primal (covering) solution is certified at: `Tr Y = 1`,
+/// `Y ⪰ 0` and `Aᵢ • Y ≥ 1` each up to `PRIMAL_TOL`.
+pub const PRIMAL_TOL: f64 = 1e-5;
+
+/// Tolerance mixed feasible points and infeasibility witnesses are
+/// certified at.
+pub const MIXED_TOL: f64 = 1e-7;
+
+/// Relative slack under a mixed report's certified lower threshold at which
+/// its best point is re-checked: coverage `≥ threshold_lower·(1 − MIXED_SIGMA_SLACK)`.
+pub const MIXED_SIGMA_SLACK: f64 = 1e-9;
+
+/// `min` that propagates NaN (`f64::min` drops it), so a NaN entry fails
+/// every certificate comparison instead of being skipped.
+fn nan_min(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.min(b)
+    }
+}
 
 /// Result of checking a dual (packing) solution.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +95,7 @@ pub fn verify_primal(inst: &PackingInstance, sol: &PrimalSolution, tol: f64) -> 
                 Ok(e) => e.lambda_min(),
                 Err(_) => f64::NEG_INFINITY,
             };
-            let min_dot = inst.mats().iter().map(|a| a.dot_dense(y)).fold(f64::INFINITY, f64::min);
+            let min_dot = inst.mats().iter().map(|a| a.dot_dense(y)).fold(f64::INFINITY, nan_min);
             let feasible = (trace - 1.0).abs() <= tol && lambda_min >= -tol && min_dot >= 1.0 - tol;
             PrimalCertificate { trace, min_dot, lambda_min, matrix_checked: true, feasible }
         }
@@ -189,13 +223,15 @@ pub fn verify_mixed_infeasible(
         .filter(|&(k, _)| is_active(k))
         .map(|(_, (&p, &c))| {
             counted += 1;
-            if c > 0.0 {
-                sigma * p / c
-            } else {
+            // A NaN covering value falls through to the division, so it
+            // poisons the margin rather than pricing the coordinate out.
+            if c <= 0.0 {
                 f64::INFINITY
+            } else {
+                sigma * p / c
             }
         })
-        .fold(f64::INFINITY, f64::min);
+        .fold(f64::INFINITY, nan_min);
     // Reject vacuous certificates outright: the pricing minimum must have
     // actually run over every coordinate (short dot vectors would silently
     // truncate the zip) and priced at least one active one. An *infinite*
@@ -211,6 +247,82 @@ pub fn verify_mixed_infeasible(
         refuted_threshold: sigma / margin.max(1e-300),
         matrix_checked,
         valid: matrices_ok && structurally_ok && margin > 1.0 + tol,
+    }
+}
+
+/// The certificate of a [`DecisionResult`]: whichever side it returned,
+/// re-checked against the instance.
+#[derive(Debug, Clone, Copy)]
+pub enum DecisionCertificate {
+    /// The result was dual-side; [`verify_dual`] at [`DUAL_TOL`].
+    Dual(DualCertificate),
+    /// The result was primal-side; [`verify_primal`] at [`PRIMAL_TOL`].
+    Primal(PrimalCertificate),
+}
+
+impl DecisionCertificate {
+    /// The dual-side certificate, if the result was dual-side.
+    pub fn dual(&self) -> Option<&DualCertificate> {
+        match self {
+            DecisionCertificate::Dual(c) => Some(c),
+            DecisionCertificate::Primal(_) => None,
+        }
+    }
+
+    /// The primal-side certificate, if the result was primal-side.
+    pub fn primal(&self) -> Option<&PrimalCertificate> {
+        match self {
+            DecisionCertificate::Primal(c) => Some(c),
+            DecisionCertificate::Dual(_) => None,
+        }
+    }
+}
+
+/// The certificate of a [`PackingReport`]: its best dual, re-checked.
+#[derive(Debug, Clone, Copy)]
+pub struct PackingReportCertificate {
+    /// [`verify_dual`] of `best_dual` at [`DUAL_TOL`]; `None` exactly when
+    /// the report has no best dual.
+    pub best_dual: Option<DualCertificate>,
+}
+
+/// The certificate of a [`MixedReport`]: its best point and its
+/// infeasibility witness, each re-checked.
+#[derive(Debug, Clone, Copy)]
+pub struct MixedReportCertificate {
+    /// [`verify_mixed_feasible`] of `best_point` at coverage
+    /// `threshold_lower·(1 − MIXED_SIGMA_SLACK)` and [`MIXED_TOL`]; `None`
+    /// exactly when the report has no best point.
+    pub best_point: Option<MixedFeasibleCertificate>,
+    /// [`verify_mixed_infeasible`] of `infeasibility_witness` at
+    /// [`MIXED_TOL`]; `None` exactly when the report has no witness.
+    pub infeasibility: Option<MixedInfeasibleCertificate>,
+}
+
+/// Certify a decision result on whichever side it returned.
+pub fn certify_decision(inst: &PackingInstance, res: &DecisionResult) -> DecisionCertificate {
+    match &res.outcome {
+        Outcome::Dual(d) => DecisionCertificate::Dual(verify_dual(inst, d, DUAL_TOL)),
+        Outcome::Primal(p) => DecisionCertificate::Primal(verify_primal(inst, p, PRIMAL_TOL)),
+    }
+}
+
+/// Certify a packing bisection report's best dual.
+pub fn certify_packing(inst: &PackingInstance, r: &PackingReport) -> PackingReportCertificate {
+    PackingReportCertificate {
+        best_dual: r.best_dual.as_ref().map(|d| verify_dual(inst, d, DUAL_TOL)),
+    }
+}
+
+/// Certify a mixed bisection report's best point and infeasibility witness.
+pub fn certify_mixed(inst: &MixedInstance, r: &MixedReport) -> MixedReportCertificate {
+    let sigma = r.threshold_lower * (1.0 - MIXED_SIGMA_SLACK);
+    MixedReportCertificate {
+        best_point: r.best_point.as_ref().map(|p| verify_mixed_feasible(inst, p, sigma, MIXED_TOL)),
+        infeasibility: r
+            .infeasibility_witness
+            .as_ref()
+            .map(|w| verify_mixed_infeasible(inst, w, MIXED_TOL)),
     }
 }
 
@@ -410,6 +522,89 @@ mod tests {
         // even without a packing matrix.
         let bad = MixedCertificate { y_cover: Some(Mat::from_diag(&[0.5, 0.9])), ..cert };
         assert!(!verify_mixed_infeasible(&inst, &bad, 1e-9).valid);
+    }
+
+    #[test]
+    fn nan_reported_pack_dot_fails_mixed_infeasible_certificate() {
+        // Two coordinates, P = diag(2, 2), C = diag(1, 1) each: the
+        // re-measured cover side prices coordinate 2 at margin 4, but the
+        // engine-reported packing dot of coordinate 1 is NaN. The minimum
+        // must not skip it.
+        let p = || PsdMatrix::Diagonal(vec![2.0, 2.0]);
+        let c = || PsdMatrix::Diagonal(vec![1.0, 1.0]);
+        let inst = MixedInstance::new(vec![p(), p()], vec![c(), c()]).unwrap();
+        let cert = MixedCertificate {
+            sigma: 2.0,
+            y_pack: None,
+            y_cover: Some(Mat::from_diag(&[0.5, 0.5])),
+            pack_dots: vec![f64::NAN, 2.0],
+            cover_dots: vec![1.0, 1.0],
+            active: vec![true, true],
+            margin: 4.0,
+        };
+        let v = verify_mixed_infeasible(&inst, &cert, 1e-9);
+        assert!(v.margin.is_nan(), "NaN dot dropped from the margin: {v:?}");
+        assert!(!v.valid);
+        // A NaN reported covering dot poisons the margin too, rather than
+        // pricing its coordinate out as if it were zero.
+        let nan_cover = MixedCertificate {
+            y_cover: None,
+            pack_dots: vec![2.0, 2.0],
+            cover_dots: vec![f64::NAN, 1.0],
+            ..cert
+        };
+        let v = verify_mixed_infeasible(&inst, &nan_cover, 1e-9);
+        assert!(v.margin.is_nan() && !v.valid, "{v:?}");
+    }
+
+    #[test]
+    fn nan_dense_dot_fails_primal_certificate() {
+        // A NaN off-diagonal entry of Y leaves its trace at 1 but makes
+        // A₁ • Y NaN; the reported minimum must be NaN, not A₂ • Y = 4.
+        let inst = PackingInstance::new(vec![
+            PsdMatrix::Dense(Mat::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]])),
+            PsdMatrix::Diagonal(vec![4.0, 4.0]),
+        ])
+        .unwrap();
+        let y = Mat::from_rows(&[&[0.5, f64::NAN], &[f64::NAN, 0.5]]);
+        let sol = PrimalSolution {
+            constraint_dots: vec![1.0, 4.0],
+            y: Some(y),
+            min_dot: 1.0,
+            rounds_averaged: 1,
+        };
+        let c = verify_primal(&inst, &sol, 1e-9);
+        assert!(c.matrix_checked);
+        assert!(c.min_dot.is_nan(), "NaN dot dropped from the minimum: {c:?}");
+        assert!(!c.feasible);
+    }
+
+    #[test]
+    fn certify_entry_points_match_the_named_tolerance_calls() {
+        let inst = inst2();
+        let mut sides = Vec::new();
+        for threshold in [0.5, 4.0] {
+            let solver = crate::Solver::builder(&inst)
+                .options(DecisionOptions::practical(0.2))
+                .build()
+                .unwrap();
+            let res = solver.session().solve(threshold).unwrap();
+            sides.push(matches!(res.outcome, Outcome::Dual(_)));
+            match (&res.outcome, certify_decision(&inst, &res)) {
+                (Outcome::Dual(d), DecisionCertificate::Dual(c)) => {
+                    let want = verify_dual(&inst, d, DUAL_TOL);
+                    assert_eq!(c.lambda_max.to_bits(), want.lambda_max.to_bits());
+                    assert_eq!(c.feasible, want.feasible);
+                }
+                (Outcome::Primal(p), DecisionCertificate::Primal(c)) => {
+                    let want = verify_primal(&inst, p, PRIMAL_TOL);
+                    assert_eq!(c.min_dot.to_bits(), want.min_dot.to_bits());
+                    assert_eq!(c.feasible, want.feasible);
+                }
+                (o, c) => panic!("certificate side does not match the outcome: {o:?} / {c:?}"),
+            }
+        }
+        assert_eq!(sides, [true, false], "both sides must be exercised");
     }
 
     #[test]

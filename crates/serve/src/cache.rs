@@ -130,14 +130,15 @@ impl Built<'_> {
     }
 }
 
-/// A memoized result, stored verbatim. The whole pipeline is
-/// deterministic, so replaying the stored result for a byte-identical
-/// request is byte-identical to recomputing it.
+/// A memoized result, stored verbatim with the certificate the executor
+/// computed for it. The whole pipeline is deterministic, so replaying the
+/// stored result and certificate for a byte-identical request is
+/// byte-identical to recomputing (and re-certifying) them.
 #[derive(Clone)]
 pub struct MemoEntry {
     /// Canonical request-parameters key (see [`params_key`]).
     pub params: String,
-    /// The stored result.
+    /// The stored result and its certificate.
     pub result: crate::scheduler::ServeResult,
 }
 

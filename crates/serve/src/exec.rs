@@ -7,7 +7,7 @@
 //! tiers for each request in turn:
 //!
 //! 1. **memo** — a byte-identical request already answered on this
-//!    fingerprint replays its stored result;
+//!    fingerprint replays its stored result and certificate;
 //! 2. **prepared** — otherwise the solver is assembled, once per call and
 //!    only at the first memo miss, from the cached engines when there are
 //!    any ([`Prepared::solver`]);
@@ -16,11 +16,20 @@
 //!
 //! All requests of one call share one session, so later requests replay
 //! the trajectories of earlier ones (bitwise result-neutral).
+//!
+//! Every freshly computed result is certified here, once, against the
+//! instance it was solved on (`psdp_core::certify_*`), and the certificate
+//! travels with the result into the memo. So the cost of a certificate is
+//! paid on the thread that computed the result, once per computed result,
+//! and never by a memo hit or by the renderer.
 
 use crate::cache::{params_key, prep_engine_of, Built, CacheEntry, MemoEntry, Prepared};
 use crate::request::{RequestKind, ServeRequest};
 use crate::scheduler::{ServeResponse, ServeResult, ServeStats};
-use psdp_core::{MixedSession, Session};
+use psdp_core::{
+    certify_decision, certify_mixed, certify_packing, MixedInstance, MixedSession, PackingInstance,
+    Session,
+};
 use std::cell::OnceCell;
 use std::time::Instant;
 
@@ -35,17 +44,18 @@ pub(crate) struct Executed {
     pub(crate) prep_built: bool,
 }
 
-/// An open session on a [`Built`] solver.
+/// An open session on a [`Built`] solver, with the instance its results
+/// are certified against.
 enum Live<'i, 's> {
-    Packing(Session<'i, 's>),
-    Mixed(MixedSession<'i, 's>),
+    Packing(&'i PackingInstance, Session<'i, 's>),
+    Mixed(&'i MixedInstance, MixedSession<'i, 's>),
 }
 
 impl<'i> Built<'i> {
     fn session(&self) -> Live<'i, '_> {
         match self {
-            Built::Packing(_, s) => Live::Packing(s.session()),
-            Built::Mixed(_, s) => Live::Mixed(s.session()),
+            Built::Packing(inst, s) => Live::Packing(inst, s.session()),
+            Built::Mixed(inst, s) => Live::Mixed(inst, s.session()),
         }
     }
 }
@@ -125,9 +135,9 @@ pub(crate) fn execute(
     Executed { responses, entry, prep_built }
 }
 
-/// Run one request on the open session. An `optimize` whose parameters
-/// differ from the last certified one on this fingerprint starts inside
-/// that bracket (tier 3).
+/// Run one request on the open session and certify its result. An
+/// `optimize` whose parameters differ from the last certified one on this
+/// fingerprint starts inside that bracket (tier 3).
 fn run(
     live: &mut Live<'_, '_>,
     kind: &RequestKind,
@@ -136,10 +146,13 @@ fn run(
     stats: &mut ServeStats,
 ) -> Result<ServeResult, String> {
     let out = match (live, kind) {
-        (Live::Packing(s), RequestKind::Decision { threshold, opts }) => {
-            s.solve_with(*threshold, opts).map(ServeResult::Decision)
+        (Live::Packing(inst, s), RequestKind::Decision { threshold, opts }) => {
+            s.solve_with(*threshold, opts).map(|d| {
+                let cert = certify_decision(inst, &d);
+                ServeResult::Decision(d, cert)
+            })
         }
-        (Live::Packing(s), RequestKind::Optimize { opts }) => {
+        (Live::Packing(inst, s), RequestKind::Optimize { opts }) => {
             let mut o = *opts;
             if let Some((_, lo, hi)) = bracket.as_ref().filter(|(p, _, _)| p != params) {
                 o.initial_bracket = Some(match o.initial_bracket {
@@ -150,10 +163,14 @@ fn run(
             }
             s.optimize(&o).map(|r| {
                 *bracket = Some((params.to_string(), r.value_lower, r.value_upper));
-                ServeResult::Optimize(r)
+                let cert = certify_packing(inst, &r);
+                ServeResult::Optimize(r, cert)
             })
         }
-        (Live::Mixed(s), RequestKind::Mixed { opts }) => s.optimize(opts).map(ServeResult::Mixed),
+        (Live::Mixed(inst, s), RequestKind::Mixed { opts }) => s.optimize(opts).map(|r| {
+            let cert = certify_mixed(inst, &r);
+            ServeResult::Mixed(r, cert)
+        }),
         _ => return Err("request routed to the wrong solver family (internal)".to_string()),
     };
     out.map_err(|e| e.to_string())
@@ -162,8 +179,8 @@ fn run(
 /// `(engine evaluations, replayed rounds)` a freshly computed result cost.
 fn live_work(res: &ServeResult) -> (usize, usize) {
     match res {
-        ServeResult::Decision(d) => (d.stats.engine_evals, d.stats.replayed),
-        ServeResult::Optimize(r) => (r.total_engine_evals, r.total_replayed),
-        ServeResult::Mixed(r) => (r.total_engine_evals, 0),
+        ServeResult::Decision(d, _) => (d.stats.engine_evals, d.stats.replayed),
+        ServeResult::Optimize(r, _) => (r.total_engine_evals, r.total_replayed),
+        ServeResult::Mixed(r, _) => (r.total_engine_evals, 0),
     }
 }

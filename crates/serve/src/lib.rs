@@ -100,7 +100,7 @@ mod tests {
         // (ignores wall-clock stats).
         match &resp.result {
             Err(e) => format!("{}:err:{e}", resp.id),
-            Ok(ServeResult::Decision(d)) => format!(
+            Ok(ServeResult::Decision(d, _)) => format!(
                 "{}:dec:{:?}:{}:{}",
                 resp.id,
                 d.stats.exit,
@@ -110,7 +110,7 @@ mod tests {
                     psdp_core::Outcome::Primal(p) => format!("primal:{:x}", p.min_dot.to_bits()),
                 }
             ),
-            Ok(ServeResult::Optimize(r)) => format!(
+            Ok(ServeResult::Optimize(r, _)) => format!(
                 "{}:opt:{:x}:{:x}:{}:{}",
                 resp.id,
                 r.value_lower.to_bits(),
@@ -118,7 +118,7 @@ mod tests {
                 r.decision_calls,
                 r.converged
             ),
-            Ok(ServeResult::Mixed(r)) => format!(
+            Ok(ServeResult::Mixed(r, _)) => format!(
                 "{}:mix:{:x}:{:x}:{}",
                 resp.id,
                 r.threshold_lower.to_bits(),
@@ -140,16 +140,16 @@ mod tests {
         let out = sched.run_batch(&requests).unwrap();
         assert_eq!(out.responses.len(), 3);
         assert_eq!(out.report.errors, 0);
-        assert!(matches!(out.responses[0].result, Ok(ServeResult::Decision(_))));
+        assert!(matches!(out.responses[0].result, Ok(ServeResult::Decision(_, _))));
         match &out.responses[1].result {
-            Ok(ServeResult::Optimize(r)) => {
+            Ok(ServeResult::Optimize(r, _)) => {
                 assert!(r.converged);
                 assert!(r.value_lower <= 0.75 + 1e-9 && r.value_upper >= 0.75 - 1e-9);
             }
             other => panic!("bad optimize response: {other:?}"),
         }
         match &out.responses[2].result {
-            Ok(ServeResult::Mixed(r)) => {
+            Ok(ServeResult::Mixed(r, _)) => {
                 assert!(r.threshold_lower <= 0.5 + 1e-9 && r.threshold_upper >= 0.5 - 1e-9);
             }
             other => panic!("bad mixed response: {other:?}"),
@@ -201,7 +201,7 @@ mod tests {
         assert_eq!(first.report.prep_builds, 1);
         assert!(!first.responses[0].stats.prep_reused);
         let cold_bracket = match &first.responses[0].result {
-            Ok(ServeResult::Optimize(r)) => (r.value_lower, r.value_upper),
+            Ok(ServeResult::Optimize(r, _)) => (r.value_lower, r.value_upper),
             other => panic!("{other:?}"),
         };
 
@@ -219,7 +219,7 @@ mod tests {
         assert!(resp.stats.prep_reused);
         assert!(resp.stats.bracket_injected);
         match &resp.result {
-            Ok(ServeResult::Optimize(r)) => {
+            Ok(ServeResult::Optimize(r, _)) => {
                 assert!(r.converged);
                 // The tightened bracket sits inside the cold one and still
                 // contains OPT = 0.75.
@@ -241,7 +241,7 @@ mod tests {
             )])
             .unwrap();
         let (warm_calls, cold_calls) = match (&resp.result, &cold.responses[0].result) {
-            (Ok(ServeResult::Optimize(w)), Ok(ServeResult::Optimize(c))) => {
+            (Ok(ServeResult::Optimize(w, _)), Ok(ServeResult::Optimize(c, _))) => {
                 (w.decision_calls, c.decision_calls)
             }
             other => panic!("{other:?}"),

@@ -35,7 +35,10 @@
 use crate::cache::{prep_engine_of, prep_hash, CacheEntry};
 use crate::exec::{execute, Executed};
 use crate::request::ServeRequest;
-use psdp_core::{DecisionResult, MixedReport, PackingReport};
+use psdp_core::{
+    DecisionCertificate, DecisionResult, MixedReport, MixedReportCertificate, PackingReport,
+    PackingReportCertificate,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -73,15 +76,18 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A successful request result.
+/// A successful request result with its certificate. The executor
+/// certifies each result once, when it is computed (`psdp_core::certify_*`);
+/// a memo hit replays the stored certificate with the stored result, so
+/// rendering a response never re-verifies anything.
 #[derive(Debug, Clone)]
 pub enum ServeResult {
     /// Result of a [`crate::RequestKind::Decision`] request.
-    Decision(DecisionResult),
+    Decision(DecisionResult, DecisionCertificate),
     /// Result of a [`crate::RequestKind::Optimize`] request.
-    Optimize(PackingReport),
+    Optimize(PackingReport, PackingReportCertificate),
     /// Result of a [`crate::RequestKind::Mixed`] request.
-    Mixed(MixedReport),
+    Mixed(MixedReport, MixedReportCertificate),
 }
 
 /// Per-request serving telemetry. Only the wall-clock fields

@@ -622,7 +622,7 @@ mod tests {
         assert_eq!(report.overloaded, 0);
         match &got[1].1 {
             StreamOutcome::Response(r) => match &r.result {
-                Ok(ServeResult::Optimize(o)) => {
+                Ok(ServeResult::Optimize(o, _)) => {
                     assert!(o.converged);
                     assert!(o.value_lower <= 0.75 + 1e-9 && o.value_upper >= 0.75 - 1e-9);
                 }
@@ -701,7 +701,7 @@ mod tests {
         let (got, report, _) = run_service(ServiceOptions::default(), requests);
         let optimize = |out: &StreamOutcome| match out {
             StreamOutcome::Response(r) => match &r.result {
-                Ok(ServeResult::Optimize(o)) => (o.clone(), r.stats.clone()),
+                Ok(ServeResult::Optimize(o, _)) => (o.clone(), r.stats.clone()),
                 other => panic!("bad optimize response: {other:?}"),
             },
             _ => panic!("expected a response"),
@@ -892,7 +892,7 @@ mod tests {
             got.iter()
                 .map(|(i, out)| match out {
                     StreamOutcome::Response(r) => match &r.result {
-                        Ok(ServeResult::Optimize(o)) => format!(
+                        Ok(ServeResult::Optimize(o, _)) => format!(
                             "{i}:{}:{:x}:{:x}:memo={}:prep={}",
                             r.id,
                             o.value_lower.to_bits(),
