@@ -21,7 +21,7 @@ usage: psdp-analyze [--root PATH] [--config FILE] [--json] [--deny-warnings]
   --root PATH       workspace root to audit (default: current directory)
   --config FILE     audit.toml allowlist (default: <root>/audit.toml if present)
   --json            machine-readable report on stdout
-  --deny-warnings   treat unused suppressions/allowlist entries as fatal
+  --deny-warnings   treat warnings (unused suppressions/allowlist entries, U1) as fatal
 ";
 
 struct Cli {

@@ -9,6 +9,9 @@
 //! | `R1` | no panics or unchecked indexing on serving request paths — malformed input must surface as typed errors, not process aborts |
 //! | `H1` | every `unsafe` block carries a `// SAFETY:` justification (full inventory reported) |
 //!
+//! These rules see one file at a time. `U1` (exported items nothing uses)
+//! needs the whole tree and lives in [`crate::usage`].
+//!
 //! All matchers work on the lexed token stream ([`crate::lexer`]), so
 //! occurrences inside strings, comments, or raw strings never fire, and
 //! test-scoped code (path- or `#[cfg(test)]`-based) is exempt from the
@@ -18,7 +21,7 @@ use crate::lexer::{Comment, Tok, TokKind};
 use crate::report::{Finding, Severity, UnsafeSite};
 
 /// Crates whose non-test code must stay deterministic (D1/D2/D3).
-const DET_CRATES: &[&str] = &["core", "expdot", "linalg", "sparse", "mmw", "parallel", "serve"];
+const DET_CRATES: &[&str] = &["core", "expdot", "linalg", "sparse", "parallel", "serve"];
 
 /// Request-path files (R1): everything between raw client bytes and a
 /// rendered response.

@@ -23,7 +23,7 @@
 //! exponentials of diagonal matrices *are* the scalar exponentials) — the
 //! cross-validation tests exploit that.
 
-use psdp_mmw::paper_constants;
+use psdp_core::paper_constants;
 
 /// One decision-call outcome at threshold 1.
 #[derive(Debug, Clone)]

@@ -3,8 +3,7 @@
 //! iterations should track the bound's shape).
 
 use crate::table::{f, Table};
-use psdp_core::{DecisionOptions, Outcome, PackingInstance, Solver};
-use psdp_mmw::ours_decision_iterations;
+use psdp_core::{ours_decision_iterations, DecisionOptions, Outcome, PackingInstance, Solver};
 use psdp_workloads::{random_factorized, RandomFactorized};
 
 /// One strict-constants decision solve through the session API.

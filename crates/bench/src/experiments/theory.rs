@@ -5,8 +5,10 @@
 //! the bound formulas side by side with our solver's measured iterations.
 
 use crate::table::{f, Table};
-use psdp_core::{DecisionOptions, PackingInstance, Solver};
-use psdp_mmw::{jain_yao_iterations, ours_decision_iterations, width_dependent_iterations};
+use psdp_core::{
+    jain_yao_iterations, ours_decision_iterations, width_dependent_iterations, DecisionOptions,
+    PackingInstance, Solver,
+};
 use psdp_workloads::{random_factorized, RandomFactorized};
 
 /// E7 table over a small (n, ε) grid.

@@ -6,8 +6,7 @@
 
 use crate::table::{f, Table};
 use psdp_baselines::{ak_decision, AkOutcome};
-use psdp_core::{DecisionOptions, Outcome, PackingInstance, Solver};
-use psdp_mmw::width_dependent_iterations;
+use psdp_core::{width_dependent_iterations, DecisionOptions, Outcome, PackingInstance, Solver};
 use psdp_workloads::{random_factorized, RandomFactorized};
 
 /// One practical-constants decision solve through the session API.

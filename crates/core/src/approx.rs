@@ -125,13 +125,6 @@ pub struct PackingReport {
     pub total_replayed: usize,
 }
 
-impl PackingReport {
-    /// Midpoint estimate of OPT (geometric mean of the bracket).
-    pub fn value_estimate(&self) -> f64 {
-        (self.value_lower * self.value_upper).sqrt()
-    }
-}
-
 /// Optimize a normalized packing instance to `(1+ε)` relative accuracy.
 ///
 /// One-shot convenience over [`crate::Solver`] / [`crate::Session`]: the
@@ -255,7 +248,8 @@ mod tests {
         // OPT = 1/2 + 1/4 = 0.75.
         assert!(r.converged);
         assert!(r.value_lower <= 0.75 + 1e-9 && r.value_upper >= 0.75 - 1e-9);
-        assert!((r.value_estimate() - 0.75).abs() < 0.08);
+        let estimate = (r.value_lower * r.value_upper).sqrt();
+        assert!((estimate - 0.75).abs() < 0.08);
     }
 
     /// Competing constraints on the same coordinate: OPT set by the sum.
@@ -265,7 +259,8 @@ mod tests {
         let inst = PackingInstance::new(vec![diag(&[1.0, 1.0]), diag(&[1.0, 1.0])]).unwrap();
         let r = solve_packing(&inst, &ApproxOptions::practical(0.1)).unwrap();
         assert!(r.converged);
-        assert!((r.value_estimate() - 1.0).abs() < 0.1, "estimate {}", r.value_estimate());
+        let estimate = (r.value_lower * r.value_upper).sqrt();
+        assert!((estimate - 1.0).abs() < 0.1, "estimate {estimate}");
     }
 
     /// Bracket is always certified: lower by a feasible dual, upper by a

@@ -121,6 +121,7 @@ mod tests {
     use super::*;
     use crate::options::{ConstantsMode, UpdateRule};
     use crate::solution::ExitReason;
+    use crate::verify::{verify_dual, verify_primal, DUAL_TOL, PRIMAL_TOL};
     use psdp_linalg::{sym_eigen, Mat};
     use psdp_sparse::PsdMatrix;
 
@@ -170,6 +171,27 @@ mod tests {
                 assert!(p.min_dot >= 1.0 - 1e-6);
             }
         }
+    }
+
+    /// Paper-strict constants with one constraint: `ln n = 0`, so the cap
+    /// `R` must not collapse to a single iteration. Below OPT the run must
+    /// certify a dual, above OPT a primal.
+    #[test]
+    fn strict_mode_single_constraint_certifies_both_sides() {
+        // OPT = 1/λmax(A) = 4. Deciding "OPT ≥ σ" is the threshold-1
+        // decision on σ·A.
+        let inst = diag_instance(&[&[0.25, 0.1, 0.05]]);
+        let opts = DecisionOptions::strict(0.2);
+
+        let below = inst.scaled(2.0);
+        let res = decision_psdp(&below, &opts).unwrap();
+        let d = res.outcome.dual().expect("threshold below OPT certifies a dual");
+        assert!(verify_dual(&below, d, DUAL_TOL).feasible, "{:?}", res.stats);
+
+        let above = inst.scaled(8.0);
+        let res = decision_psdp(&above, &opts).unwrap();
+        let p = res.outcome.primal().expect("threshold above OPT certifies a primal");
+        assert!(verify_primal(&above, p, PRIMAL_TOL).feasible, "{:?}", res.stats);
     }
 
     /// Claim 3.5: ‖x‖₁ ≤ (1+ε)K at exit (strict constants).

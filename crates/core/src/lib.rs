@@ -21,7 +21,9 @@
 //!   drift-checked rebuilds,
 //! * [`options`] — solver configuration (paper-strict vs practical
 //!   constants, engines including auto-selection, update-rule variants),
-//! * [`solution`] / [`stats`] — certified outcomes and telemetry.
+//! * [`solution`] / [`stats`] — certified outcomes and telemetry,
+//! * [`theory`] — the paper's constants `(K, α, R)` ([`paper_constants`])
+//!   and the closed-form iteration bounds experiment E7 compares.
 //!
 //! Architecture and experiment index: see `DESIGN.md` at the repository
 //! root (§8 covers the Solver/Session/Observer design); recorded
@@ -42,6 +44,7 @@ pub mod psi;
 pub mod solution;
 pub mod solver;
 pub mod stats;
+pub mod theory;
 pub mod verify;
 
 pub use approx::{solve_covering, solve_packing, ApproxOptions, CoveringReport, PackingReport};
@@ -59,7 +62,7 @@ pub use mixed::{
     coverage_target, solve_mixed, MixedApproxOptions, MixedDecision, MixedOptions, MixedReport,
     MixedSession, MixedSolver, MixedSolverBuilder,
 };
-pub use normalize::{normalize, normalize_mixed, trace_prune, MixedNormalized, Normalized};
+pub use normalize::{normalize, trace_prune, Normalized};
 pub use options::{ConstantsMode, DecisionOptions, EngineKind, UpdateRule};
 pub use psi::PsiMaintainer;
 pub use solution::{
@@ -70,6 +73,10 @@ pub use solver::{
     IterationEvent, Observer, ObserverControl, PhaseEvent, Session, Solver, SolverBuilder,
 };
 pub use stats::{BracketStats, SolveStats};
+pub use theory::{
+    jain_yao_iterations, ours_decision_iterations, paper_constants, width_dependent_iterations,
+    PaperConstants,
+};
 pub use verify::{
     certify_decision, certify_mixed, certify_packing, verify_dual, verify_mixed_feasible,
     verify_mixed_infeasible, verify_primal, DecisionCertificate, DualCertificate,

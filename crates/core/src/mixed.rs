@@ -272,13 +272,6 @@ pub struct MixedReport {
     pub brackets: Vec<BracketStats>,
 }
 
-impl MixedReport {
-    /// Midpoint estimate of `σ*` (geometric mean of the bracket).
-    pub fn threshold_estimate(&self) -> f64 {
-        (self.threshold_lower * self.threshold_upper).sqrt()
-    }
-}
-
 /// Builder for a prepared [`MixedSolver`].
 #[derive(Debug, Clone)]
 pub struct MixedSolverBuilder<'i> {
@@ -424,13 +417,6 @@ impl<'i> MixedSolver<'i> {
     /// The options the solver was built with.
     pub fn options(&self) -> &MixedOptions {
         &self.opts
-    }
-
-    /// The concrete packing-side engine kind ([`EngineKind::Auto`] is
-    /// resolved at build time). The covering side is always
-    /// [`EngineKind::Exact`].
-    pub fn pack_engine_kind(&self) -> EngineKind {
-        self.pack_engine.kind()
     }
 
     /// Shareable handles to the prepared `(packing, covering)` engines, for
@@ -1119,7 +1105,7 @@ mod tests {
         .unwrap();
         let r = solve_mixed(&inst, &MixedApproxOptions::practical(0.1)).unwrap();
         assert!(r.threshold_lower <= 0.5 + 1e-9 && r.threshold_upper >= 0.5 - 1e-9);
-        assert!(r.threshold_estimate() > 0.0);
+        assert!(r.threshold_lower > 0.0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   support, so the remaining algebra goes through unchanged.
 
 use crate::error::PsdpError;
-use crate::instance::{Constraint, MixedInstance, PackingInstance, PositiveSdp};
-use psdp_linalg::{inv_sqrt_psd, matmul, sym_eigen, Mat};
+use crate::instance::{PackingInstance, PositiveSdp};
+use psdp_linalg::{inv_sqrt_psd, matmul, Mat};
 use psdp_sparse::{Csr, PsdMatrix};
 
 /// Output of normalization: the packing/covering instance plus the data
@@ -125,100 +125,6 @@ impl Normalized {
         }
         lam
     }
-}
-
-/// Output of mixed normalization: the identity-form mixed instance plus
-/// the conjugations needed to map aggregate matrices back to the original
-/// frames. The coordinate vector `x` itself is unchanged by normalization
-/// (conjugation rescales matrices, not multipliers).
-#[derive(Debug, Clone)]
-pub struct MixedNormalized {
-    /// The normalized instance over `B^{-1/2}PᵢB^{-1/2}` /
-    /// `D^{-1/2}CᵢD^{-1/2}`.
-    pub instance: MixedInstance,
-    /// `B^{-1/2}` (packing target), for mapping packing aggregates back.
-    pub b_inv_sqrt: Mat,
-    /// `D^{-1/2}` (covering target), for mapping covering aggregates back.
-    pub d_inv_sqrt: Mat,
-}
-
-/// Relative eigenvalue floor below which a normalization target counts as
-/// singular.
-const TARGET_RANK_TOL: f64 = 1e-10;
-
-/// Normalize a general mixed packing–covering program
-///
-/// ```text
-///   find x ≥ 0  with  Σᵢ xᵢPᵢ ⪯ B   and   Σᵢ xᵢCᵢ ⪰ σ·D
-/// ```
-///
-/// to the identity-target form [`MixedInstance`] consumes, by conjugating
-/// each side with the inverse square root of its target:
-/// `P̃ᵢ = B^{-1/2}PᵢB^{-1/2}`, `C̃ᵢ = D^{-1/2}CᵢD^{-1/2}`. Feasibility at
-/// threshold `σ` is preserved exactly, with the *same* `x` (conjugation
-/// rescales matrices, not multipliers), so solver outputs need no back-map
-/// beyond the aggregate conjugations carried in [`MixedNormalized`].
-///
-/// Both targets must be positive definite: a singular packing target
-/// forces some coordinates to zero outside its range, and a singular
-/// covering target makes every threshold `σ > 0` unreachable — both are
-/// better handled by projecting the program onto the target's range first.
-///
-/// # Errors
-/// [`PsdpError::InvalidInstance`] on singular/ill-conditioned targets,
-/// dimension mismatches, or sides that fail [`MixedInstance::new`]
-/// validation after conjugation.
-pub fn normalize_mixed(
-    pack: &[Constraint],
-    b: &Constraint,
-    cover: &[Constraint],
-    d: &Constraint,
-) -> Result<MixedNormalized, PsdpError> {
-    // One eigendecomposition per target: the singularity gate and the
-    // inverse square root are built from the same spectrum, with the same
-    // tolerance (the gate rejects anything the pseudo-inverse cut would
-    // zero out, so no eigenvalue is ever silently dropped).
-    let conjugator = |target: &Constraint, side: &str| -> Result<Mat, PsdpError> {
-        let dense = target.to_dense();
-        let eig = sym_eigen(&dense)?;
-        if eig.lambda_min() <= TARGET_RANK_TOL * eig.lambda_max().max(1e-300) {
-            return Err(PsdpError::InvalidInstance(format!(
-                "{side} normalization target is singular (λmin = {:.3e}); project the program \
-                 onto its range first",
-                eig.lambda_min()
-            )));
-        }
-        Ok(eig.apply_fn(|lam| 1.0 / lam.sqrt()))
-    };
-    let b_inv_sqrt = conjugator(b, "packing")?;
-    let d_inv_sqrt = conjugator(d, "covering")?;
-
-    let conjugate =
-        |mats: &[Constraint], half: &Mat, dim: usize| -> Result<Vec<Constraint>, PsdpError> {
-            let mut out = Vec::with_capacity(mats.len());
-            for (i, a) in mats.iter().enumerate() {
-                if a.dim() != dim {
-                    return Err(PsdpError::InvalidInstance(format!(
-                        "constraint {i} has dim {} != target dim {dim}",
-                        a.dim()
-                    )));
-                }
-                let mut m = matmul(&matmul(half, &a.to_dense()), half);
-                m.symmetrize();
-                // Keep conjugation-preserved sparsity in CSR, as `normalize`
-                // does (diagonal targets with sparse constraints are common).
-                let nnz = m.as_slice().iter().filter(|&&v| v != 0.0).count();
-                if nnz * 4 <= dim * dim {
-                    out.push(PsdMatrix::Sparse(Csr::from_dense(&m, 0.0)));
-                } else {
-                    out.push(PsdMatrix::Dense(m));
-                }
-            }
-            Ok(out)
-        };
-    let pack_n = conjugate(pack, &b_inv_sqrt, b.dim())?;
-    let cover_n = conjugate(cover, &d_inv_sqrt, d.dim())?;
-    Ok(MixedNormalized { instance: MixedInstance::new(pack_n, cover_n)?, b_inv_sqrt, d_inv_sqrt })
 }
 
 /// Lemma 2.2 trace pruning with the paper's `n³` cutoff: indices of
@@ -353,51 +259,6 @@ mod tests {
         assert_eq!(nz.kept, vec![1, 2]);
         let lam = nz.dual_back(&[1.0, 2.0], 3);
         assert_eq!(lam, vec![0.0, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn mixed_normalize_diagonal_targets_rescale() {
-        // B = diag(4, 1): P̃ = B^{-1/2} P B^{-1/2} halves the first row/col
-        // scale; D = diag(1, 9) likewise on the covering side.
-        let pack = vec![diag(&[2.0, 1.0])];
-        let cover = vec![diag(&[1.0, 3.0])];
-        let nz = normalize_mixed(&pack, &diag(&[4.0, 1.0]), &cover, &diag(&[1.0, 9.0])).unwrap();
-        let p = nz.instance.pack().mats()[0].to_dense();
-        assert!((p[(0, 0)] - 0.5).abs() < 1e-12);
-        assert!((p[(1, 1)] - 1.0).abs() < 1e-12);
-        let c = nz.instance.cover().mats()[0].to_dense();
-        assert!((c[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!((c[(1, 1)] - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixed_normalize_preserves_feasibility_threshold() {
-        // Identity-form feasibility at σ must match the original program:
-        // here Σ xP ⪯ B with P = B means x ≤ 1, and C = D means coverage
-        // threshold σ* = 1 on both sides.
-        let b = diag(&[2.0, 5.0]);
-        let d = diag(&[0.5, 3.0]);
-        let nz =
-            normalize_mixed(std::slice::from_ref(&b), &b, std::slice::from_ref(&d), &d).unwrap();
-        let p = nz.instance.pack().mats()[0].to_dense();
-        let c = nz.instance.cover().mats()[0].to_dense();
-        for j in 0..2 {
-            assert!((p[(j, j)] - 1.0).abs() < 1e-10, "P̃ should be I");
-            assert!((c[(j, j)] - 1.0).abs() < 1e-10, "C̃ should be I");
-        }
-    }
-
-    #[test]
-    fn mixed_normalize_rejects_singular_targets() {
-        let pack = vec![diag(&[1.0, 1.0])];
-        let cover = vec![diag(&[1.0, 1.0])];
-        let r = normalize_mixed(&pack, &diag(&[1.0, 0.0]), &cover, &diag(&[1.0, 1.0]));
-        assert!(matches!(r, Err(PsdpError::InvalidInstance(msg)) if msg.contains("packing")));
-        let r = normalize_mixed(&pack, &diag(&[1.0, 1.0]), &cover, &diag(&[0.0, 1.0]));
-        assert!(matches!(r, Err(PsdpError::InvalidInstance(msg)) if msg.contains("covering")));
-        // Dimension mismatch is caught before conjugation.
-        let r = normalize_mixed(&[diag(&[1.0])], &diag(&[1.0, 1.0]), &cover, &diag(&[1.0, 1.0]));
-        assert!(r.is_err());
     }
 
     #[test]

@@ -108,9 +108,9 @@ use crate::options::{ConstantsMode, DecisionOptions, UpdateRule};
 use crate::psi::PsiMaintainer;
 use crate::solution::{DualSolution, ExitReason, Outcome, PrimalSolution};
 use crate::stats::{BracketStats, SolveStats};
+use crate::theory::paper_constants;
 use psdp_expdot::{Engine, EngineKind, ExpDots};
 use psdp_linalg::{lambda_max_upper_bound, sym_eigen, vecops, Mat};
-use psdp_mmw::paper_constants;
 use psdp_parallel::Cost;
 use std::sync::Arc;
 use std::time::Instant;
@@ -449,20 +449,6 @@ impl<'i, 's> Session<'i, 's> {
     /// Register an observer for subsequent solves.
     pub fn add_observer(&mut self, obs: Box<dyn Observer>) {
         self.observers.push(obs);
-    }
-
-    /// Drop the warm-start cache (subsequent solves start cold and rebuild
-    /// it). Needed after switching to per-solve options the cache is not
-    /// keyed for — the session does this implicitly by refusing to replay,
-    /// but an explicit reset lets the new configuration take over the
-    /// cache.
-    pub fn reset_cache(&mut self) {
-        self.cache = TrajectoryCache::default();
-    }
-
-    /// Number of rounds currently held by the warm-start cache.
-    pub fn cached_rounds(&self) -> usize {
-        self.cache.rounds.len()
     }
 
     /// Number of decision solves this session has run.
@@ -1301,7 +1287,7 @@ mod tests {
         let mut s = solver.session();
         let first = s.solve(0.7).unwrap();
         assert_eq!(first.stats.replayed, 0);
-        assert!(s.cached_rounds() > 0);
+        assert!(!s.cache.rounds.is_empty());
         // A nearby threshold shares a long prefix.
         let second = s.solve(0.71).unwrap();
         assert!(second.stats.replayed > 0, "no rounds replayed: {:?}", second.stats);

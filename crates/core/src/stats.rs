@@ -55,17 +55,6 @@ pub struct SolveStats {
     pub norm_trajectory: Vec<(usize, f64)>,
 }
 
-impl SolveStats {
-    /// Mean analytic work per iteration.
-    pub fn work_per_iteration(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.cost.work / self.iterations as f64
-        }
-    }
-}
-
 /// Per-bracket breakdown of one [`crate::Session::optimize`] /
 /// [`crate::solve_packing`] run: which threshold was tested, which side was
 /// certified, where the bracket moved, and what the warm start saved.
@@ -94,34 +83,4 @@ pub struct BracketStats {
     /// Wall-clock time spent on this bracket, including discarded
     /// attempts.
     pub wall: Duration,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn work_per_iteration_handles_zero() {
-        let s = SolveStats {
-            iterations: 0,
-            exit: ExitReason::IterationCap,
-            final_norm1: 0.0,
-            k_threshold: 1.0,
-            alpha: 0.1,
-            iteration_cap: 10,
-            cost: Cost::ZERO,
-            engine: "exact",
-            avg_selected: 0.0,
-            kappa_max: 0.0,
-            psi_rebuilds: 0,
-            psi_max_drift: 0.0,
-            threshold: 1.0,
-            warm_started: false,
-            engine_evals: 0,
-            replayed: 0,
-            wall: Duration::ZERO,
-            norm_trajectory: vec![],
-        };
-        assert_eq!(s.work_per_iteration(), 0.0);
-    }
 }

@@ -1,5 +1,6 @@
-//! Closed-form iteration-bound calculators for the solvers the paper
-//! compares (Section 1.1's complexity discussion).
+//! The paper's constants `(K, α, R)` for Algorithm 3.1, and closed-form
+//! iteration-bound calculators for the solvers the paper compares
+//! (Section 1.1's complexity discussion).
 //!
 //! Jain–Yao '11 cannot be *run* at any interesting size — its bound is
 //! `O(ε⁻¹³ log¹³ m · log n)` iterations of `Ω(m^ω)` work each — so
@@ -8,7 +9,10 @@
 //! alongside measured iteration counts for the runnable algorithms.
 
 /// Parameters of Algorithm 3.1 for a given `(n, ε)`:
-/// `K = (1 + ln n)/ε`, `α = ε / (K(1+10ε))`, `R = (32/(εα)) ln n`.
+/// `K = (1 + ln n)/ε`, `α = ε / (K(1+10ε))`, `R = (32/(εα)) ln max(n, 2)`.
+///
+/// `R` floors `n` at 2: with one active coordinate `ln n = 0` would cap a
+/// paper-strict run at a single iteration, too few for either exit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperConstants {
     /// Dual-norm termination threshold `K`.
@@ -29,7 +33,7 @@ pub fn paper_constants(n: usize, eps: f64) -> PaperConstants {
     let ln_n = (n as f64).ln().max(1e-9);
     let k = (1.0 + ln_n) / eps;
     let alpha = eps / (k * (1.0 + 10.0 * eps));
-    let r = 32.0 / (eps * alpha) * ln_n;
+    let r = 32.0 / (eps * alpha) * (n.max(2) as f64).ln();
     PaperConstants { k_threshold: k, alpha, r_cap: r }
 }
 
@@ -37,12 +41,6 @@ pub fn paper_constants(n: usize, eps: f64) -> PaperConstants {
 /// with the paper's explicit constants.
 pub fn ours_decision_iterations(n: usize, eps: f64) -> f64 {
     paper_constants(n, eps).r_cap
-}
-
-/// Total iterations of `approxPSDP` = decision bound × `O(log n)` binary
-/// search calls (Lemma 2.2; we charge `log₂(n/ε)` calls).
-pub fn ours_total_iterations(n: usize, eps: f64) -> f64 {
-    ours_decision_iterations(n, eps) * (n as f64 / eps).log2().max(1.0)
 }
 
 /// Jain–Yao 2011 iteration bound `ε⁻¹³ log¹³ m · log n` (constant 1).
@@ -117,13 +115,5 @@ mod tests {
         let a = width_dependent_iterations(2.0, 64, 0.1);
         let b = width_dependent_iterations(4.0, 64, 0.1);
         assert!((b / a - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_includes_binary_search_factor() {
-        let d = ours_decision_iterations(128, 0.2);
-        let t = ours_total_iterations(128, 0.2);
-        assert!(t > d);
-        assert!((t / d - (128f64 / 0.2).log2()).abs() < 1e-9);
     }
 }

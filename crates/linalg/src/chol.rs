@@ -42,11 +42,6 @@ impl Cholesky {
         }
         x
     }
-
-    /// Log-determinant of `A` (`2 Σ log Lᵢᵢ`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.nrows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 /// Factor a symmetric positive **definite** matrix.
@@ -85,18 +80,6 @@ pub fn cholesky(a: &Mat) -> Result<Cholesky, LinalgError> {
         }
     }
     Ok(Cholesky { l })
-}
-
-/// True if `A` is numerically positive definite (Cholesky succeeds after a
-/// relative diagonal shift of `shift_rel * max|A|`). With `shift_rel = 0`
-/// this is a plain PD test; a small positive `shift_rel` turns it into a
-/// PSD-up-to-tolerance test, which is what solution verifiers want.
-pub fn is_positive_semidefinite(a: &Mat, shift_rel: f64) -> bool {
-    let mut shifted = a.clone();
-    let shift = shift_rel * a.max_abs().max(1.0);
-    shifted.add_diag(shift);
-    shifted.symmetrize();
-    cholesky(&shifted).is_ok()
 }
 
 #[cfg(test)]
@@ -146,17 +129,13 @@ mod tests {
         // Rank-1 PSD matrix is not PD, but passes with a tolerance shift.
         let mut a = Mat::zeros(3, 3);
         a.rank1_update(1.0, &[1.0, 1.0, 1.0]);
-        assert!(!is_positive_semidefinite(&a, 0.0));
-        assert!(is_positive_semidefinite(&a, 1e-10));
+        assert!(cholesky(&a).is_err());
+        let mut shifted = a.clone();
+        shifted.add_diag(1e-10);
+        assert!(cholesky(&shifted).is_ok());
         // A clearly indefinite matrix still fails.
-        let b = Mat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!(!is_positive_semidefinite(&b, 1e-10));
-    }
-
-    #[test]
-    fn log_det_diagonal() {
-        let a = Mat::from_diag(&[2.0, 3.0, 4.0]);
-        let c = cholesky(&a).unwrap();
-        assert!((c.log_det() - (24.0_f64).ln()).abs() < 1e-12);
+        let mut b = Mat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        b.add_diag(1e-10);
+        assert!(cholesky(&b).is_err());
     }
 }

@@ -15,19 +15,6 @@ pub fn expm(a: &Mat) -> Result<Mat, LinalgError> {
     Ok(sym_eigen(a)?.apply_fn(f64::exp))
 }
 
-/// `exp(A)` reusing an existing eigendecomposition.
-pub fn expm_from_eigen(eig: &SymEigen) -> Mat {
-    eig.apply_fn(f64::exp)
-}
-
-/// Principal square root of a PSD matrix. Eigenvalues in `[-tol, 0)` are
-/// clamped to 0 (numerical noise); more negative ones are an error.
-pub fn sqrt_psd(a: &Mat, tol: f64) -> Result<Mat, LinalgError> {
-    let eig = sym_eigen(a)?;
-    check_psd_spectrum(&eig, tol)?;
-    Ok(eig.apply_fn(|x| x.max(0.0).sqrt()))
-}
-
 /// Moore–Penrose inverse square root of a PSD matrix: eigenvalues below
 /// `rank_tol * λmax` are treated as zero and inverted to zero. This is
 /// exactly what Appendix A needs: the paper treats `C` "as having full rank"
@@ -124,7 +111,7 @@ mod tests {
         let mut a = Mat::from_fn(5, 5, |i, j| ((i + j) % 4) as f64 * 0.2);
         a.symmetrize();
         let aa = matmul(&a, &a); // PSD by construction
-        let s = sqrt_psd(&aa, 1e-9).unwrap();
+        let s = sym_eigen(&aa).unwrap().apply_fn(|x| x.max(0.0).sqrt());
         let ss = matmul(&s, &s);
         for i in 0..5 {
             for j in 0..5 {
@@ -170,7 +157,6 @@ mod tests {
     #[test]
     fn funcs_reject_indefinite() {
         let a = Mat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]); // eigenvalues ±1
-        assert!(sqrt_psd(&a, 1e-9).is_err());
         assert!(inv_sqrt_psd(&a, 1e-9).is_err());
         assert!(psd_factor(&a, 1e-9).is_err());
     }

@@ -163,20 +163,6 @@ pub fn matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
     }
 }
 
-/// `y = Aᵀ · x` without forming the transpose.
-pub fn matvec_transpose(a: &Mat, x: &[f64]) -> Vec<f64> {
-    assert_eq!(a.nrows(), x.len(), "matvec_transpose: dim mismatch");
-    let n = a.ncols();
-    let mut y = vec![0.0; n];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        crate::vecops::axpy(xi, a.row(i), &mut y);
-    }
-    y
-}
-
 /// `C = Aᵀ · A` (Gram matrix), exploiting symmetry of the output.
 pub fn gram(a: &Mat) -> Mat {
     let n = a.ncols();
@@ -187,29 +173,6 @@ pub fn gram(a: &Mat) -> Mat {
     }
     g.symmetrize();
     g
-}
-
-/// `C = A · Aᵀ`, exploiting symmetry of the output. Parallel over row pairs.
-pub fn outer_gram(a: &Mat) -> Mat {
-    let m = a.nrows();
-    let mut c = Mat::zeros(m, m);
-    let entries: Vec<(usize, usize, f64)> = (0..m)
-        .into_par_iter()
-        .flat_map_iter(|i| {
-            let ri = a.row(i);
-            (i..m).map(move |j| (i, j, crate::vecops::dot(ri, a.row(j))))
-        })
-        .collect();
-    for (i, j, v) in entries {
-        c[(i, j)] = v;
-        c[(j, i)] = v;
-    }
-    c
-}
-
-/// Quadratic form `xᵀ A x` for square `A`.
-pub fn quad_form(a: &Mat, x: &[f64]) -> f64 {
-    crate::vecops::dot(&matvec(a, x), x)
 }
 
 #[cfg(test)]
@@ -340,7 +303,7 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let y = matvec(&a, &[1.0, -1.0]);
         assert_eq!(y, vec![-1.0, -1.0, -1.0]);
-        let z = matvec_transpose(&a, &[1.0, 1.0, 1.0]);
+        let z = matvec(&a.transpose(), &[1.0, 1.0, 1.0]);
         assert_eq!(z, vec![9.0, 12.0]);
     }
 
@@ -370,22 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn outer_gram_matches_explicit() {
-        let a = Mat::from_fn(5, 3, |i, j| (2 * i + 3 * j) as f64 * 0.25);
-        let g = outer_gram(&a);
-        let g2 = matmul(&a, &a.transpose());
-        for i in 0..5 {
-            for j in 0..5 {
-                assert!((g[(i, j)] - g2[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn quad_form_psd_of_gram() {
         let a = Mat::from_fn(3, 3, |i, j| ((i + 1) * (j + 2)) as f64 * 0.1);
         let g = gram(&a);
         // Gram matrices are PSD: x^T G x >= 0.
-        assert!(quad_form(&g, &[1.0, -2.0, 0.7]) >= -1e-12);
+        let x = [1.0, -2.0, 0.7];
+        assert!(crate::vecops::dot(&matvec(&g, &x), &x) >= -1e-12);
     }
 }

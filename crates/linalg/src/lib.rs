@@ -35,14 +35,14 @@ pub mod poly;
 pub mod qr;
 pub mod vecops;
 
-pub use chol::{cholesky, is_positive_semidefinite, Cholesky};
+pub use chol::{cholesky, Cholesky};
 pub use eigen::{sym_eigen, SymEigen};
 pub use error::LinalgError;
 pub use expmv::{chebyshev_exp_block, expm_action_chebyshev, expm_action_lanczos, ExpmAction};
-pub use funcs::{expm, inv_sqrt_psd, psd_factor, sqrt_psd};
-pub use gemm::{matmul, matvec, matvec_transpose, quad_form, symmul};
+pub use funcs::{expm, inv_sqrt_psd, psd_factor};
+pub use gemm::{matmul, matvec, symmul};
 pub use mat::Mat;
 pub use norms::{lambda_max_estimate, lambda_max_power, lambda_max_upper_bound};
 pub use op::SymOp;
-pub use poly::{apply_exp_taylor_block, apply_exp_taylor_vec, taylor_degree};
+pub use poly::{apply_exp_taylor_block, taylor_degree};
 pub use qr::{orthonormalize, qr, Qr};

@@ -113,23 +113,11 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume the matrix and return the raw row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.nrows);
         &self.data[i * self.ncols..(i + 1) * self.ncols]
-    }
-
-    /// Mutably borrow row `i` as a contiguous slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.nrows);
-        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
     /// Copy column `j` into a new vector.
@@ -261,19 +249,6 @@ impl Mat {
     /// True if every entry is finite (no NaN/inf).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Extract the square submatrix indexed by `idx` (rows and columns).
-    pub fn principal_submatrix(&self, idx: &[usize]) -> Mat {
-        assert!(self.is_square());
-        let k = idx.len();
-        let mut s = Mat::zeros(k, k);
-        for (a, &i) in idx.iter().enumerate() {
-            for (b, &j) in idx.iter().enumerate() {
-                s[(a, b)] = self[(i, j)];
-            }
-        }
-        s
     }
 
     /// Rank-1 update `self += alpha * v vᵀ`.
@@ -411,16 +386,6 @@ mod tests {
                 assert!((m[(i, j)] - 2.0 * v[i] * v[j]).abs() < 1e-15);
             }
         }
-    }
-
-    #[test]
-    fn principal_submatrix_picks_entries() {
-        let m = Mat::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = m.principal_submatrix(&[1, 3]);
-        assert_eq!(s[(0, 0)], m[(1, 1)]);
-        assert_eq!(s[(0, 1)], m[(1, 3)]);
-        assert_eq!(s[(1, 0)], m[(3, 1)]);
-        assert_eq!(s[(1, 1)], m[(3, 3)]);
     }
 
     #[test]

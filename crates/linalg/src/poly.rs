@@ -45,19 +45,6 @@ pub fn apply_exp_taylor_block(op: &dyn SymOp, x: &Mat, degree: usize) -> Mat {
     acc
 }
 
-/// Apply `p(B)` to a single vector (convenience wrapper).
-pub fn apply_exp_taylor_vec(op: &dyn SymOp, x: &[f64], degree: usize) -> Vec<f64> {
-    assert!(degree >= 1);
-    let mut acc = x.to_vec();
-    let mut term = x.to_vec();
-    for j in 1..degree {
-        term = op.apply_vec(&term);
-        crate::vecops::scale(1.0 / j as f64, &mut term);
-        crate::vecops::axpy(1.0, &term, &mut acc);
-    }
-    acc
-}
-
 /// Materialize `p(B)` as a dense matrix by applying it to the identity.
 /// Only used by tests and the no-sketch Taylor engine at small `m`.
 pub fn exp_taylor_dense(op: &dyn SymOp, degree: usize) -> Mat {
@@ -142,10 +129,10 @@ mod tests {
         let x = Mat::from_fn(5, 2, |i, j| (i + 2 * j) as f64 * 0.1);
         let y = apply_exp_taylor_block(&b, &x, 8);
         for j in 0..2 {
-            let col = x.col(j);
-            let yv = apply_exp_taylor_vec(&b, &col, 8);
+            let col = Mat::from_fn(5, 1, |i, _| x[(i, j)]);
+            let yv = apply_exp_taylor_block(&b, &col, 8);
             for i in 0..5 {
-                assert!((y[(i, j)] - yv[i]).abs() < 1e-12);
+                assert!((y[(i, j)] - yv[(i, 0)]).abs() < 1e-12);
             }
         }
     }

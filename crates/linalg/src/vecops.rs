@@ -25,12 +25,6 @@ pub fn norm1(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// `maxᵢ |xᵢ|` (0 for the empty slice).
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// `y += alpha * x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -80,7 +74,6 @@ mod tests {
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
         assert_eq!(norm1(&x), 7.0);
-        assert_eq!(norm_inf(&x), 4.0);
         assert_eq!(sum(&x), -1.0);
     }
 
@@ -107,7 +100,6 @@ mod tests {
     #[test]
     fn empty_slices() {
         assert_eq!(norm1(&[]), 0.0);
-        assert_eq!(norm_inf(&[]), 0.0);
         assert_eq!(sum(&[]), 0.0);
     }
 }

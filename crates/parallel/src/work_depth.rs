@@ -4,10 +4,10 @@
 //! (Corollary 1.2: `Õ(ε⁻⁶(n+m+q))` work, `O(ε⁻⁴ polylog)` depth). Wall-clock
 //! measurements on a fixed machine cannot verify those *asymptotic* claims
 //! directly, so the kernels additionally report analytic costs through this
-//! module: a [`Cost`] is composed **sequentially** (work and depth both add)
-//! or **in parallel** (work adds, depth takes the max — plus a log-factor
-//! spawn overhead when requested). Experiment E5 sums these over a run and
-//! checks the scaling shape against the corollary.
+//! module: each kernel states its [`Cost`] (parallel structure shows up as
+//! depth below work, e.g. a reduction's `log₂ n`), and costs compose
+//! **sequentially** with `+` (work and depth both add). Experiment E5 sums
+//! these over a run and checks the scaling shape against the corollary.
 
 use std::ops::Add;
 
@@ -48,16 +48,6 @@ impl Cost {
     pub fn matvec(nnz: usize, reduce_len: usize) -> Cost {
         Cost { work: 2.0 * nnz as f64, depth: (reduce_len.max(2) as f64).log2() }
     }
-
-    /// Compose in parallel: work adds, depth maxes.
-    pub fn par(self, other: Cost) -> Cost {
-        Cost { work: self.work + other.work, depth: self.depth.max(other.depth) }
-    }
-
-    /// Parallel composition over `k` identical branches.
-    pub fn par_replicate(self, k: usize) -> Cost {
-        Cost { work: self.work * k as f64, depth: self.depth + (k.max(2) as f64).log2() }
-    }
 }
 
 /// Sequential composition.
@@ -65,41 +55,6 @@ impl Add for Cost {
     type Output = Cost;
     fn add(self, other: Cost) -> Cost {
         Cost { work: self.work + other.work, depth: self.depth + other.depth }
-    }
-}
-
-/// A mutable accumulator for per-phase cost accounting.
-///
-/// Algorithms thread a `&mut CostMeter` through their inner loops; `charge`
-/// composes sequentially (an iteration happens after the previous one) and
-/// `charge_par` records a step whose internal structure was parallel.
-#[derive(Debug, Default, Clone)]
-pub struct CostMeter {
-    total: Cost,
-    /// Number of `charge*` calls, for averaging.
-    events: usize,
-}
-
-impl CostMeter {
-    /// Fresh meter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sequentially append a cost.
-    pub fn charge(&mut self, c: Cost) {
-        self.total = self.total + c;
-        self.events += 1;
-    }
-
-    /// Total accumulated cost.
-    pub fn total(&self) -> Cost {
-        self.total
-    }
-
-    /// Number of charges recorded.
-    pub fn events(&self) -> usize {
-        self.events
     }
 }
 
@@ -115,15 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn par_composition_maxes_depth() {
-        let a = Cost::new(10.0, 3.0);
-        let b = Cost::new(20.0, 7.0);
-        let c = a.par(b);
-        assert_eq!(c.work, 30.0);
-        assert_eq!(c.depth, 7.0);
-    }
-
-    #[test]
     fn reduce_has_log_depth() {
         let c = Cost::reduce(1024, 1.0);
         assert_eq!(c.work, 1024.0);
@@ -136,22 +82,5 @@ mod tests {
         let c = Cost::matvec(1000, 100);
         assert_eq!(c.work, 2000.0);
         assert!((c.depth - 100f64.log2()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_replicate_adds_spawn_depth() {
-        let c = Cost::new(5.0, 2.0).par_replicate(8);
-        assert_eq!(c.work, 40.0);
-        assert_eq!(c.depth, 5.0); // 2 + log2(8)
-    }
-
-    #[test]
-    fn meter_accumulates() {
-        let mut m = CostMeter::new();
-        m.charge(Cost::seq(3.0));
-        m.charge(Cost::new(7.0, 1.0));
-        assert_eq!(m.total().work, 10.0);
-        assert_eq!(m.total().depth, 4.0);
-        assert_eq!(m.events(), 2);
     }
 }

@@ -71,11 +71,6 @@ impl JsonValue {
         }
     }
 
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// Short type name for error messages and schema lines.
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -459,7 +454,7 @@ mod tests {
         match v.get("a") {
             Some(JsonValue::Arr(items)) => {
                 assert_eq!(items.len(), 3);
-                assert!(items[2].get("b").is_some_and(JsonValue::is_null));
+                assert!(matches!(items[2].get("b"), Some(JsonValue::Null)));
             }
             other => panic!("bad a: {other:?}"),
         }

@@ -22,26 +22,6 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from raw CSR arrays.
-    ///
-    /// # Panics
-    /// Panics if the arrays are inconsistent (wrong lengths, column index out
-    /// of range, row pointers not non-decreasing).
-    pub fn from_raw(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), nrows + 1, "row_ptr length");
-        assert_eq!(col_idx.len(), values.len(), "col/val length mismatch");
-        assert_eq!(*row_ptr.last().unwrap(), col_idx.len(), "row_ptr end");
-        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]), "row_ptr not monotone");
-        assert!(col_idx.iter().all(|&c| c < ncols), "column index out of range");
-        Csr { nrows, ncols, row_ptr, col_idx, values }
-    }
-
     /// Build from (row, col, value) triplets; duplicates are summed.
     pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Self {
         let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
@@ -297,17 +277,6 @@ impl Csr {
     pub fn fro_norm_sq(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum()
     }
-
-    /// Sum of squared values in each *column*: `diag(AᵀA)`. For a factor `Q`
-    /// this gives per-column energies; for the trace identity
-    /// `Tr(QQᵀ) = ‖Q‖²_F` use [`Csr::fro_norm_sq`].
-    pub fn col_norms_sq(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.ncols];
-        for k in 0..self.nnz() {
-            out[self.col_idx[k]] += self.values[k] * self.values[k];
-        }
-        out
-    }
 }
 
 /// A symmetric operator defined by a CSR matrix (assumed symmetric).
@@ -434,8 +403,6 @@ mod tests {
     fn fro_and_col_norms() {
         let a = example();
         assert_eq!(a.fro_norm_sq(), 1.0 + 4.0 + 9.0 + 16.0 + 25.0);
-        let cn = a.col_norms_sq();
-        assert_eq!(cn, vec![17.0, 25.0, 13.0]);
     }
 
     #[test]

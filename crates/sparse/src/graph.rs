@@ -90,9 +90,15 @@ impl Graph {
         g.add_edge(n - 1, 0, 1.0);
         g
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psdp_linalg::{sym_eigen, Mat};
 
     /// The complete graph `K_n` with unit weights.
-    pub fn complete(n: usize) -> Self {
+    fn complete(n: usize) -> Graph {
         let mut g = Graph::new(n);
         for u in 0..n {
             for v in (u + 1)..n {
@@ -101,12 +107,6 @@ impl Graph {
         }
         g
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use psdp_linalg::{sym_eigen, Mat};
 
     #[test]
     fn laplacian_row_sums_zero() {
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn laplacian_psd_with_zero_eigenvalue() {
-        let g = Graph::complete(4);
+        let g = complete(4);
         let l = g.laplacian().to_dense();
         let eig = sym_eigen(&l).unwrap();
         assert!(eig.lambda_min().abs() < 1e-10, "connected graph: lambda_min = 0");
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn counts() {
-        let g = Graph::complete(5);
+        let g = complete(5);
         assert_eq!(g.n(), 5);
         assert_eq!(g.m(), 10);
         assert_eq!(g.edges().len(), 10);

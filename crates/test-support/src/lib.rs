@@ -18,13 +18,18 @@
 //!   simplex threshold, for the mixed differential tests,
 //! * [`det_stream`] — a splitmix64-backed deterministic `u64` stream for
 //!   tests that need cheap reproducible pseudo-randomness without pulling
-//!   in a full RNG.
+//!   in a full RNG,
+//! * [`MmwGame`] — the Section 2.1 matrix multiplicative-weights game, for
+//!   the Theorem 2.1 regret-bound tests.
 //!
 //! Everything here is deterministic in its seed parameters; nothing reads
 //! global state.
 
 #![warn(missing_docs)]
 
+pub mod matrix_mw;
+
+pub use matrix_mw::MmwGame;
 use proptest::prelude::*;
 use psdp_baselines::mixed_exact_threshold;
 use psdp_core::{MixedInstance, PackingInstance};

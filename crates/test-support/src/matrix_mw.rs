@@ -13,18 +13,17 @@
 //!   (1+ε₀) Σ_t M⁽ᵗ⁾ • P⁽ᵗ⁾  ≥  λmax(Σ_t M⁽ᵗ⁾) − ln(m)/ε₀.
 //! ```
 //!
-//! This standalone implementation exists for three reasons: it documents the
-//! mechanism the solver's convergence proof runs through, it is property-
-//! tested against the regret bound directly (the bound is the *only* fact
-//! Lemma 3.2 needs from the framework), and the width-dependent baseline
-//! solver is built on it.
+//! The solver never plays this game explicitly; this implementation
+//! documents the mechanism its convergence proof runs through and is
+//! property-tested against the regret bound directly (the bound is the
+//! *only* fact Lemma 3.2 needs from the framework).
 
 use psdp_linalg::{sym_eigen, LinalgError, Mat};
 
 /// State of a matrix multiplicative weights game.
 ///
 /// ```
-/// use psdp_mmw::MmwGame;
+/// use psdp_test_support::MmwGame;
 /// use psdp_linalg::Mat;
 ///
 /// let mut game = MmwGame::new(2, 0.5);
@@ -202,6 +201,19 @@ mod tests {
         }
         let (lhs, rhs) = g.regret_bound_sides().unwrap();
         assert!(lhs >= rhs - 1e-9, "regret bound violated: {lhs} < {rhs}");
+    }
+
+    #[test]
+    fn overflow_safe_probabilities() {
+        // ε₀·ΣM reaches 1000: exp would overflow without the spectral shift.
+        let mut g = MmwGame::new(2, 0.5);
+        let gain = Mat::from_diag(&[1.0, 0.0]);
+        for _ in 0..2000 {
+            g.play(&gain).unwrap();
+        }
+        let p = g.probability_matrix().unwrap();
+        assert!(p[(0, 0)] > 0.999 && p[(0, 0)].is_finite());
+        assert!((p.trace() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests: the Theorem 2.1 regret bound holds against randomized
-//! adversaries, and the scalar/matrix games agree on diagonal gains.
+//! adversaries, and on diagonal gains the matrix game reduces to scalar
+//! multiplicative weights (Hedge).
 
 use proptest::prelude::*;
 use psdp_linalg::Mat;
-use psdp_mmw::{Hedge, MmwGame};
+use psdp_test_support::MmwGame;
 
 /// A random PSD gain with ‖M‖ ≤ 1: convex combination of rank-1 projectors.
 fn gain(dim: usize, coords: &[f64]) -> Mat {
@@ -38,43 +39,56 @@ proptest! {
         prop_assert!(lhs >= rhs - 1e-8, "regret violated: {lhs} < {rhs}");
     }
 
-    /// Hedge regret bound on random [0,1] gain sequences.
+    /// Diagonal gains in `[0, 1]` (the Hedge setting): the regret bound
+    /// against the best single expert, `λmax(ΣM) = maxᵢ Gᵢ`.
     #[test]
     fn hedge_regret_random(
         n in 2usize..6,
         eps0 in 0.05_f64..0.5,
         rounds in proptest::collection::vec(proptest::collection::vec(0.0_f64..1.0, 6), 5..50),
     ) {
-        let mut h = Hedge::new(n, eps0);
+        let mut game = MmwGame::new(n, eps0);
+        let mut cumulative = vec![0.0_f64; n];
         for r in &rounds {
-            h.play(&r[..n]);
+            game.play(&Mat::from_diag(&r[..n])).unwrap();
+            for (c, &x) in cumulative.iter_mut().zip(&r[..n]) {
+                *c += x;
+            }
         }
-        let (lhs, rhs) = h.regret_bound_sides();
+        let (lhs, rhs) = game.regret_bound_sides().unwrap();
+        let best = cumulative.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        prop_assert!((rhs - (best - (n as f64).ln() / eps0)).abs() < 1e-9);
         prop_assert!(lhs >= rhs - 1e-8, "hedge regret violated: {lhs} < {rhs}");
     }
 
-    /// Diagonal gains: the matrix game's probability diagonal equals Hedge.
+    /// Diagonal gains: the matrix game's probability matrix is diagonal and
+    /// equals Hedge's closed form, a softmax of the cumulative gains,
+    /// `pᵢ = exp(ε₀ Gᵢ) / Σⱼ exp(ε₀ Gⱼ)`.
     #[test]
     fn matrix_game_specializes_to_hedge(
         n in 2usize..5,
         rounds in proptest::collection::vec(proptest::collection::vec(0.0_f64..1.0, 5), 3..12),
     ) {
-        let mut h = Hedge::new(n, 0.4);
-        let mut g = MmwGame::new(n, 0.4);
+        let eps0 = 0.4;
+        let mut g = MmwGame::new(n, eps0);
+        let mut cumulative = vec![0.0_f64; n];
         for r in &rounds {
             let gains = &r[..n];
-            let hp = h.probabilities();
+            let weights: Vec<f64> = cumulative.iter().map(|&c| (eps0 * c).exp()).collect();
+            let z: f64 = weights.iter().sum();
             let gp = g.probability_matrix().unwrap();
             for i in 0..n {
-                prop_assert!((hp[i] - gp[(i, i)]).abs() < 1e-8);
+                prop_assert!((weights[i] / z - gp[(i, i)]).abs() < 1e-8);
                 for j in 0..n {
                     if i != j {
                         prop_assert!(gp[(i, j)].abs() < 1e-10, "off-diagonal leakage");
                     }
                 }
             }
-            h.play(gains);
             g.play(&Mat::from_diag(gains)).unwrap();
+            for (c, &x) in cumulative.iter_mut().zip(gains) {
+                *c += x;
+            }
         }
     }
 }

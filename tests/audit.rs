@@ -6,7 +6,10 @@
 //! 1. **Corpus** — every rule fires on its positive fixture at the exact
 //!    expected lines, stays silent on near-misses (strings, comments,
 //!    test code, slice patterns, …), and is silenced by a well-formed
-//!    inline suppression (which is *counted*, not dropped).
+//!    inline suppression (which is *counted*, not dropped). U1 looks for
+//!    callers across a tree, so its fixtures run as one-file trees, and a
+//!    two-file scratch workspace shows a use in another file's tests
+//!    counting.
 //! 2. **Self-check** — the committed workspace is clean under
 //!    `--deny-warnings` semantics, which is exactly what CI enforces.
 //! 3. **Gate demo** — seeding a violation into a scratch workspace makes
@@ -14,7 +17,7 @@
 //!    gate would catch a regression.
 
 use psdp_analyze::report::{Report, Severity};
-use psdp_analyze::{audit_source, config, run_audit, Options};
+use psdp_analyze::{audit_source, audit_sources, config, run_audit, Options};
 use std::path::{Path, PathBuf};
 
 fn corpus_dir() -> PathBuf {
@@ -34,6 +37,18 @@ fn audit_fixture(name: &str, synthetic_path: &str) -> Report {
     let mut cfg = config::Config::default();
     let mut report = Report::default();
     audit_source(synthetic_path, &src, &mut cfg, &mut report);
+    report.sort();
+    report
+}
+
+/// Run one fixture as a one-file tree: the per-file rules plus U1, which
+/// then finds no callers outside the fixture itself.
+fn audit_fixture_tree(name: &str, synthetic_path: &str) -> Report {
+    let src = std::fs::read_to_string(corpus_dir().join(name))
+        .unwrap_or_else(|e| panic!("fixture {name}: {e}"));
+    let mut cfg = config::Config::default();
+    let mut report = Report::default();
+    audit_sources(&[(synthetic_path, &src)], &mut cfg, &mut report);
     report.sort();
     report
 }
@@ -114,6 +129,55 @@ fn h1_corpus_inventory_and_justification() {
     assert!(r.findings.is_empty(), "{}", r.human());
     assert_eq!(r.unsafe_sites.len(), 1);
     assert!(r.unsafe_sites[0].justified);
+}
+
+#[test]
+fn u1_corpus_positive_suppressed_nearmiss() {
+    // Never referenced; referenced only by a `pub use`; referenced only
+    // by its own file's `#[cfg(test)]` module.
+    let r = audit_fixture_tree("u1_positive.rs", "crates/workloads/src/gen.rs");
+    assert_eq!(hits(&r), [("U1", 1), ("U1", 6), ("U1", 10)], "{}", r.human());
+    assert!(r.findings.iter().all(|f| f.severity == Severity::Warning));
+    assert!(r.is_clean(false));
+    assert!(!r.is_clean(true));
+
+    let r = audit_fixture_tree("u1_suppressed.rs", "crates/workloads/src/gen.rs");
+    assert!(r.findings.is_empty(), "{}", r.human());
+    assert_eq!(r.suppressions_used, 1);
+
+    // Used elsewhere in its own file, a trait-impl method, a `pub(crate)`
+    // item, a `pub` tuple field, a `pub fn` inside a string: silent.
+    let r = audit_fixture_tree("u1_nearmiss.rs", "crates/workloads/src/gen.rs");
+    assert!(r.findings.is_empty(), "{}", r.human());
+
+    // Test code defines no candidates.
+    let r = audit_fixture_tree("u1_positive.rs", "crates/workloads/tests/gen.rs");
+    assert!(r.findings.is_empty(), "{}", r.human());
+}
+
+/// U1 across files: an item nothing uses fires; a use from another file's
+/// `#[cfg(test)]` module silences it.
+#[test]
+fn u1_counts_uses_from_other_files_tests() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit_u1_demo");
+    let src = root.join("crates/workloads/src");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&src).expect("scratch workspace");
+    std::fs::write(src.join("gen.rs"), "pub fn helper() -> u32 {\n    3\n}\n").expect("item");
+
+    let report = run_audit(&root, &Options::default()).expect("audit runs");
+    let rules: Vec<(&str, &str, usize)> =
+        report.findings.iter().map(|f| (f.rule, f.file.as_str(), f.line)).collect();
+    assert_eq!(rules, [("U1", "crates/workloads/src/gen.rs", 1)]);
+
+    std::fs::write(
+        src.join("other.rs"),
+        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn helper_is_three() {\n        \
+         assert_eq!(crate::gen::helper(), 3);\n    }\n}\n",
+    )
+    .expect("test use");
+    let report = run_audit(&root, &Options::default()).expect("audit runs");
+    assert!(report.is_clean(true), "{}", report.human());
 }
 
 #[test]

@@ -12,14 +12,13 @@
 //!   `psdp_core::verify` (packing, covering, and mixed sides alike).
 
 use psdp_core::{
-    decision_psdp, solve_covering, solve_mixed, trace_prune, verify_dual, verify_mixed_feasible,
-    verify_mixed_infeasible, verify_primal, ApproxOptions, DecisionOptions, MixedApproxOptions,
-    Outcome, PackingInstance, PositiveSdp,
+    decision_psdp, paper_constants, solve_covering, solve_mixed, trace_prune, verify_dual,
+    verify_mixed_feasible, verify_mixed_infeasible, verify_primal, ApproxOptions, DecisionOptions,
+    MixedApproxOptions, Outcome, PackingInstance, PositiveSdp,
 };
 use psdp_linalg::{sym_eigen, Mat};
-use psdp_mmw::{paper_constants, MmwGame};
 use psdp_sparse::PsdMatrix;
-use psdp_test_support::{factorized_instance, FactorizedSpec};
+use psdp_test_support::{factorized_instance, FactorizedSpec, MmwGame};
 use psdp_workloads::{gnp, mixed_edge_cover, mixed_lp_diagonal};
 
 fn instance(n: usize, seed: u64) -> PackingInstance {
